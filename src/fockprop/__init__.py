@@ -58,5 +58,6 @@ from .galerkin import (
     fit_rate,
     reduce_hamiltonian,
     galerkin_sweep,
+    galerkin_sweeps,
     schrodinger_evolve,
 )

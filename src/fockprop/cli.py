@@ -31,9 +31,10 @@ from .fock import (
     min_quanta_for_tail,
 )
 from .galerkin import (
-    DENSE_BASIS_BUDGET,
+    BudgetError,
     Flag,
-    galerkin_sweep,
+    check_dense_budget,
+    galerkin_sweeps,
     schrodinger_evolve,
     sweep_to_csv,
 )
@@ -86,10 +87,6 @@ EXIT_BUDGET = 3
 
 class ConfigError(Exception):
     """Schema violation; the message starts with the offending field path."""
-
-
-class BudgetError(Exception):
-    """Requested problem size exceeds the dense-matrix budget."""
 
 
 @dataclass(frozen=True)
@@ -194,20 +191,6 @@ def _parse_symbol(cfg, modes: int) -> PolySymbol:
         raise ConfigError(f"symbol: {exc}") from exc
 
 
-def _basis_size(modes: int, max_quanta: int) -> int:
-    return math.comb(max_quanta + modes, modes)
-
-
-def _check_dense_budget(modes: int, max_quanta: int) -> int:
-    size = _basis_size(modes, max_quanta)
-    if size > DENSE_BASIS_BUDGET:
-        raise BudgetError(
-            f"basis size binomial({max_quanta}+{modes},{modes}) = {size} "
-            f"exceeds budget {DENSE_BASIS_BUDGET}"
-        )
-    return size
-
-
 # -- validation ------------------------------------------------------------
 
 
@@ -236,7 +219,7 @@ def validate_config(cfg) -> dict:
     if needs_quanta:
         M = _get_int(cfg, "M", minimum=0)
         info["M"] = M
-        info["basis_size"] = _check_dense_budget(d, M)
+        info["basis_size"] = check_dense_budget(d, M)
 
     quadrature_kinds = {"lower-bound", "chernoff-sweep"}
     if kind in quadrature_kinds:
@@ -524,10 +507,20 @@ def _run_galerkin_sweep(cfg, rng, ctx):
     alpha, beta = _parse_probes(cfg, d, expected=1)[0]
     threshold = float(cfg.get("slope_threshold", -0.8))
     route = cfg.get("route", "wick")
-    records, fit = galerkin_sweep(
-        symbol, flag, t, alpha, beta, M, route=route, threshold=threshold,
+    scaling = cfg.get("t_scaling")
+    times = [t]
+    if scaling:
+        factor = float(scaling["factor"])
+        lo, hi = float(scaling["window"][0]), float(scaling["window"][1])
+        # base may sit below the sweep's t: the scaling window targets the
+        # quadratic-in-t regime, which higher-order terms leave at large t
+        base_t = float(scaling.get("base_t", t))
+        times += [base_t, factor * base_t]
+    sweeps = galerkin_sweeps(
+        symbol, flag, times, alpha, beta, M, route=route, threshold=threshold,
         threads=ctx.threads,
     )
+    records, fit = sweeps[0]
     errors = [r.abs_error for r in records]
     decreasing = all(b < a for a, b in zip(errors, errors[1:]))
     checks = [
@@ -546,21 +539,8 @@ def _run_galerkin_sweep(cfg, rng, ctx):
     }
     timings = {f"n={r.parameter}": r.seconds for r in records}
 
-    scaling = cfg.get("t_scaling")
     if scaling:
-        factor = float(scaling["factor"])
-        lo, hi = float(scaling["window"][0]), float(scaling["window"][1])
-        # base may sit below the sweep's t: the scaling window targets the
-        # quadratic-in-t regime, which higher-order terms leave at large t
-        base_t = float(scaling.get("base_t", t))
-        base_records, _ = galerkin_sweep(
-            symbol, flag, base_t, alpha, beta, M, route=route,
-            threshold=threshold, threads=ctx.threads,
-        )
-        scaled_records, _ = galerkin_sweep(
-            symbol, flag, factor * base_t, alpha, beta, M, route=route,
-            threshold=threshold, threads=ctx.threads,
-        )
+        (base_records, _), (scaled_records, _) = sweeps[1:]
         ratios = {}
         in_window = True
         for base, scaled in zip(base_records, scaled_records):

@@ -33,6 +33,7 @@ __all__ = [
     "gamma_of",
     "dgamma",
     "coherent_vector",
+    "checked_coherent_components",
     "coherent_overlap",
     "coherent_tail_bound",
     "min_quanta_for_tail",
@@ -70,15 +71,43 @@ class FockBasis:
         self.states: tuple[tuple[int, ...], ...] = tuple(states)
         self.occupations = np.array(states, dtype=np.int64)
         self.total_quanta = self.occupations.sum(axis=1)
-        self._index = {s: i for i, s in enumerate(states)}
+        # _below[m, s]: number of m-mode states with total quanta < s
+        self._below = np.array(
+            [[math.comb(s - 1 + m, m) if s else 0 for s in range(max_quanta + 1)]
+             for m in range(modes + 1)],
+            dtype=np.int64,
+        )
         assert len(self.states) == math.comb(max_quanta + modes, modes)
 
     @property
     def size(self) -> int:
         return len(self.states)
 
+    def rank(self, occ) -> np.ndarray:
+        """Basis indices of occupation rows, in closed form.
+
+        `occ` has shape (..., modes); the result has shape (...).  Rows must
+        be states of this basis (non-negative, total quanta <= M); other rows
+        give meaningless indices, so check outside input with `index`.  The
+        graded order makes the index a sum over suffixes s_k = n_k + ... +
+        n_d of the count of (d-k+1)-mode states with fewer than s_k quanta
+        (the combinatorial number system, Knuth TAOCP 4A 7.2.1.3).
+        """
+        occ = np.asarray(occ, dtype=np.int64)
+        suffix = np.cumsum(occ[..., ::-1], axis=-1)[..., ::-1]
+        return self._below[np.arange(self.modes, 0, -1), suffix].sum(axis=-1)
+
     def index(self, state: Sequence[int]) -> int:
-        return self._index[tuple(state)]
+        """Basis index of one state; KeyError for a state outside the basis."""
+        occ = np.asarray(state)
+        if (
+            occ.shape != (self.modes,)
+            or occ.dtype.kind not in "iu"
+            or (occ < 0).any()
+            or occ.sum() > self.max_quanta
+        ):
+            raise KeyError(tuple(state))
+        return int(self.rank(occ))
 
     def protected_slice(self, layers: int = 1) -> np.ndarray:
         """Indices of states with total quanta <= M - layers (cutoff-safe)."""
@@ -152,12 +181,11 @@ def annihilator(basis: FockBasis, mode: int) -> OperatorMatrix:
     if not 1 <= mode <= basis.modes:
         raise ValueError(f"mode {mode} out of range 1..{basis.modes}")
     i = mode - 1
+    cols = np.nonzero(basis.occupations[:, i] > 0)[0]
+    lowered = basis.occupations[cols]
+    lowered[:, i] -= 1
     mat = np.zeros((basis.size, basis.size), dtype=complex)
-    for col, state in enumerate(basis.states):
-        n = state[i]
-        if n > 0:
-            lowered = state[:i] + (n - 1,) + state[i + 1 :]
-            mat[basis.index(lowered), col] = math.sqrt(n)
+    mat[basis.rank(lowered), cols] = np.sqrt(basis.occupations[cols, i])
     return OperatorMatrix(basis, mat)
 
 
@@ -221,15 +249,18 @@ def gamma_of(basis: FockBasis, o: np.ndarray) -> OperatorMatrix:
         sum(o[j, i] * creator(basis, j + 1).mat for j in range(basis.modes))
         for i in range(basis.modes)
     ]
+    occ = basis.occupations
+    # parent of each non-vacuum state: one quantum off its first occupied mode
+    first = np.argmax(occ > 0, axis=1)
+    parents = occ.copy()
+    parents[1:][np.arange(basis.size - 1), first[1:]] -= 1
+    parent_idx = basis.rank(parents)
     cols = np.zeros((basis.size, basis.size), dtype=complex)
     cols[0, 0] = 1.0
-    for idx, state in enumerate(basis.states):
-        if idx == 0:
-            continue
-        i = next(m for m, n in enumerate(state) if n > 0)
-        parent = state[:i] + (state[i] - 1,) + state[i + 1 :]
-        cols[:, idx] = (transformed[i] @ cols[:, basis.index(parent)]) / math.sqrt(
-            state[i]
+    for idx in range(1, basis.size):
+        i = first[idx]
+        cols[:, idx] = (transformed[i] @ cols[:, parent_idx[idx]]) / math.sqrt(
+            occ[idx, i]
         )
     return OperatorMatrix(basis, cols)
 
@@ -244,24 +275,24 @@ def dgamma(basis: FockBasis, o: np.ndarray) -> OperatorMatrix:
     o = np.asarray(o, dtype=complex)
     if o.shape != (basis.modes, basis.modes):
         raise ValueError(f"operator must be {basis.modes} x {basis.modes}")
+    occ = basis.occupations
     mat = np.zeros((basis.size, basis.size), dtype=complex)
-    for col, state in enumerate(basis.states):
-        for j in range(basis.modes):
-            nj = state[j]
-            if nj == 0:
+    for j in range(basis.modes):
+        cols = np.nonzero(occ[:, j] > 0)[0]
+        nj = occ[cols, j]
+        for i in range(basis.modes):
+            if o[i, j] == 0:
                 continue
-            for i in range(basis.modes):
-                if o[i, j] == 0:
-                    continue
-                if i == j:
-                    mat[col, col] += o[i, j] * nj
-                else:
-                    target = list(state)
-                    target[j] -= 1
-                    target[i] += 1
-                    mat[basis.index(target), col] += (
-                        o[i, j] * math.sqrt(nj) * math.sqrt(state[i] + 1)
-                    )
+            if i == j:
+                mat[cols, cols] += o[i, j] * nj
+            else:
+                # moving one quantum keeps the total, so targets stay in the basis
+                target = occ[cols]
+                target[:, j] -= 1
+                target[:, i] += 1
+                mat[basis.rank(target), cols] += (
+                    o[i, j] * np.sqrt(nj) * np.sqrt(occ[cols, i] + 1)
+                )
     return OperatorMatrix(basis, mat)
 
 
@@ -277,6 +308,26 @@ def coherent_vector(basis: FockBasis, alpha) -> CoherentVector:
         facts = np.array([math.sqrt(math.factorial(int(e))) for e in exps])
         comp *= powers / facts
     return CoherentVector(basis=basis, alpha=a, components=comp)
+
+
+def checked_coherent_components(
+    basis: FockBasis, point, tail_tol: float = 1e-10
+) -> np.ndarray:
+    """Components of the coherent vector at `point`, after a cutoff-tail check.
+
+    Refuses a point whose quanta-cutoff tail exceeds tail_tol, with a hint
+    for the cutoff that would suffice.
+    """
+    a = as_phase_point(point, basis.modes)
+    x = float((np.abs(a) ** 2).sum())
+    tail = coherent_tail_bound(x, basis.max_quanta)
+    if tail > tail_tol:
+        needed = min_quanta_for_tail(x, tail_tol)
+        raise ValueError(
+            f"coherent tail {tail:.3g} > {tail_tol:.3g} at |alpha|^2={x:.3g}; "
+            f"max_quanta >= {needed} required"
+        )
+    return coherent_vector(basis, a).components
 
 
 def coherent_overlap(u: CoherentVector, v: CoherentVector) -> complex:

@@ -19,13 +19,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .fock import FockBasis, OperatorMatrix
+from .fock import FockBasis, OperatorMatrix, checked_coherent_components
 from .propagate import (
     ConvergenceRecord,
     ExactPropagator,
     SliceSchedule,
     chernoff_propagator,
-    coherent_matrix_element,
 )
 from .quantize import (
     DEFAULT_ORDER_MARGIN,
@@ -40,16 +39,34 @@ ERROR_FLOOR = 1e-12
 DEFAULT_SLOPE_THRESHOLD = -0.8
 
 __all__ = [
+    "BudgetError",
+    "check_dense_budget",
     "Flag",
     "RateFit",
     "fit_rate",
     "reduce_hamiltonian",
     "galerkin_sweep",
+    "galerkin_sweeps",
     "EvolveResult",
     "schrodinger_evolve",
     "sweep_to_csv",
     "running_slopes",
 ]
+
+
+class BudgetError(ValueError):
+    """Requested problem size exceeds the dense-matrix budget."""
+
+
+def check_dense_budget(modes: int, max_quanta: int) -> int:
+    """Size binomial(M+d, d) of the dense basis; BudgetError above the budget."""
+    size = math.comb(max_quanta + modes, modes)
+    if size > DENSE_BASIS_BUDGET:
+        raise BudgetError(
+            f"basis size binomial({max_quanta}+{modes},{modes}) = {size} "
+            f"exceeds budget {DENSE_BASIS_BUDGET}"
+        )
+    return size
 
 
 @dataclass(frozen=True)
@@ -143,16 +160,6 @@ def reduce_hamiltonian(
     raise ValueError(f"unknown route {route!r}")
 
 
-def _check_budget(modes: int, max_quanta: int) -> int:
-    size = math.comb(max_quanta + modes, modes)
-    if size > DENSE_BASIS_BUDGET:
-        raise ValueError(
-            f"basis size binomial({max_quanta}+{modes},{modes}) = {size} exceeds "
-            f"dense budget {DENSE_BASIS_BUDGET}"
-        )
-    return size
-
-
 def galerkin_sweep(
     w: PolySymbol,
     flag: Flag,
@@ -167,49 +174,81 @@ def galerkin_sweep(
 ) -> tuple[list[ConvergenceRecord], RateFit]:
     """Coherent-element errors of the reduced evolutions vs the d_max reference.
 
-    For each n in the flag the evolution exp(-i H_n t) is computed by the
-    spectral oracle on the n-mode basis, evaluated at the probes projected
-    to the first n modes, and compared with the full-symbol evolution at
-    the same quanta cutoff.  Flag members are independent; threads > 1
-    evaluates them concurrently with a deterministic merge by n.
+    The sweep of `galerkin_sweeps` at the single time t; use that function
+    directly to compare several times, which then share one Hamiltonian
+    and one decomposition per n.
+    """
+    return galerkin_sweeps(
+        w, flag, [t], alpha, beta, max_quanta, route=route,
+        tail_tol=tail_tol, threshold=threshold, threads=threads,
+    )[0]
+
+
+def galerkin_sweeps(
+    w: PolySymbol,
+    flag: Flag,
+    times: Sequence[float],
+    alpha,
+    beta,
+    max_quanta: int,
+    route: str = "wick",
+    tail_tol: float = 1e-10,
+    threshold: float = DEFAULT_SLOPE_THRESHOLD,
+    threads: int = 1,
+) -> list[tuple[list[ConvergenceRecord], RateFit]]:
+    """Galerkin sweeps at several times, one (records, fit) pair per time.
+
+    For each n in the flag, H_n is built on the n-mode basis and
+    diagonalized once by the spectral oracle (ExactPropagator); each
+    time's element <F_a, exp(-i H_n t) F_b> at the probes projected to the
+    first n modes is then one propagated vector, O(size^2), not a dense
+    unitary.  The d_max reference at the same quanta cutoff is built once
+    the same way, and each record's error is taken against the reference
+    at its own time.  Flag members are independent; threads > 1 evaluates
+    them concurrently with a deterministic merge by n.
+
+    A record's `seconds` is its member's build, decomposition and element
+    time for all times together, so every time reports the same value.
     """
     if flag.d_max != w.modes:
         raise ValueError(f"flag d_max={flag.d_max} but symbol has {w.modes} modes")
-    _check_budget(w.modes, max_quanta)
+    check_dense_budget(w.modes, max_quanta)
     a_full = as_phase_point(alpha, w.modes)
     b_full = as_phase_point(beta, w.modes)
+    times = [float(t) for t in times]
 
-    basis_full = FockBasis(w.modes, max_quanta)
-    h_full = reduce_hamiltonian(w, w.modes, basis_full, route=route)
-    reference = coherent_matrix_element(
-        ExactPropagator(h_full).operator(t), a_full, b_full, tail_tol=tail_tol
-    )
-
-    def member(n: int) -> ConvergenceRecord:
+    def member(n: int) -> tuple[int, list[complex], float]:
         start = time.perf_counter()
         basis_n = FockBasis(n, max_quanta)
-        h_n = reduce_hamiltonian(w, n, basis_n, route=route)
-        value = coherent_matrix_element(
-            ExactPropagator(h_n).operator(t), a_full[:n], b_full[:n],
-            tail_tol=tail_tol,
-        )
-        return ConvergenceRecord(
-            parameter=n,
-            observable="coherent_element",
-            value=value,
-            abs_error=abs(value - reference),
-            seconds=time.perf_counter() - start,
-        )
+        fa = checked_coherent_components(basis_n, a_full[:n], tail_tol)
+        fb = checked_coherent_components(basis_n, b_full[:n], tail_tol)
+        prop = ExactPropagator(reduce_hamiltonian(w, n, basis_n, route=route))
+        values = [complex(np.vdot(fa, prop.apply(fb, t))) for t in times]
+        return n, values, time.perf_counter() - start
 
+    _, reference, _ = member(w.modes)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            records = list(pool.map(member, flag.ns))
+            members = list(pool.map(member, flag.ns))
     else:
-        records = [member(n) for n in flag.ns]
-    records.sort(key=lambda r: r.parameter)
-    fit = fit_rate([(r.parameter, r.abs_error) for r in records],
-                   threshold=threshold)
-    return records, fit
+        members = [member(n) for n in flag.ns]
+
+    sweeps = []
+    for k, ref in enumerate(reference):
+        records = [
+            ConvergenceRecord(
+                parameter=n,
+                observable="coherent_element",
+                value=values[k],
+                abs_error=abs(values[k] - ref),
+                seconds=seconds,
+            )
+            for n, values, seconds in members
+        ]
+        fit = fit_rate([(r.parameter, r.abs_error) for r in records],
+                       threshold=threshold)
+        sweeps.append((records, fit))
+    return sweeps
 
 
 @dataclass(frozen=True)

@@ -20,12 +20,10 @@ from .fock import (
     FockBasis,
     HERMITIAN_TOL,
     OperatorMatrix,
-    coherent_tail_bound,
-    coherent_vector,
-    min_quanta_for_tail,
+    checked_coherent_components,
 )
 from .quantize import QuadratureRule, antiwick_quantize_function, antiwick_quantize_poly
-from .symbols import PolySymbol, as_phase_point
+from .symbols import PolySymbol
 
 __all__ = [
     "SliceSchedule",
@@ -138,20 +136,8 @@ def coherent_matrix_element(
     Refuses probe points whose quanta-cutoff tail exceeds tail_tol, with a
     hint for the cutoff that would suffice.
     """
-    basis = op.basis
-    a = as_phase_point(alpha, basis.modes)
-    b = as_phase_point(beta, basis.modes)
-    for point in (a, b):
-        x = float((np.abs(point) ** 2).sum())
-        tail = coherent_tail_bound(x, basis.max_quanta)
-        if tail > tail_tol:
-            needed = min_quanta_for_tail(x, tail_tol)
-            raise ValueError(
-                f"coherent tail {tail:.3g} > {tail_tol:.3g} at |alpha|^2={x:.3g}; "
-                f"max_quanta >= {needed} required"
-            )
-    fa = coherent_vector(basis, a).components
-    fb = coherent_vector(basis, b).components
+    fa = checked_coherent_components(op.basis, alpha, tail_tol)
+    fb = checked_coherent_components(op.basis, beta, tail_tol)
     return complex(np.vdot(fa, op.mat @ fb))
 
 

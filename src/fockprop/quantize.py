@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .fock import FockBasis, OperatorMatrix, coherent_tail_bound, coherent_vector
+from .fock import FockBasis, OperatorMatrix, checked_coherent_components
 from .symbols import PolySymbol, as_phase_point, wick_from_antinormal
 
 QUADRATURE_MAX_MODES = 3
@@ -133,7 +133,9 @@ def wick_quantize(basis: FockBasis, w: PolySymbol) -> OperatorMatrix:
 
     Exact on the truncated basis: annihilators act first, so no
     intermediate state leaves the cutoff.  Hermitian iff the symbol is
-    real.
+    real.  Each term is placed with one vectorized `basis.rank` call over
+    its target occupations; a term adds to each entry at most once, so
+    the matrix does not depend on how rows are looked up.
     """
     if w.modes != basis.modes:
         raise ValueError(
@@ -157,8 +159,7 @@ def wick_quantize(basis: FockBasis, w: PolySymbol) -> OperatorMatrix:
         amp = np.sqrt(
             _falling_products(src, k_arr) * _falling_products(dst, ks_arr)
         )
-        rows = [basis.index(tuple(int(v) for v in m)) for m in dst]
-        mat[rows, cols] += coeff * amp
+        mat[basis.rank(dst), cols] += coeff * amp
     return OperatorMatrix(basis, mat)
 
 
@@ -179,16 +180,8 @@ def wick_symbol_deviation(
     for left, right in probes:
         a = as_phase_point(left, basis.modes)
         b = as_phase_point(right, basis.modes)
-        for point in (a, b):
-            x = float((np.abs(point) ** 2).sum())
-            tail = coherent_tail_bound(x, basis.max_quanta)
-            if tail > tail_tol:
-                raise ValueError(
-                    f"probe point with |alpha|^2={x:.3g} has coherent tail "
-                    f"{tail:.3g} > {tail_tol:.3g}; increase max_quanta"
-                )
-        fa = coherent_vector(basis, a).components
-        fb = coherent_vector(basis, b).components
+        fa = checked_coherent_components(basis, a, tail_tol)
+        fb = checked_coherent_components(basis, b, tail_tol)
         element = complex(np.vdot(fa, op.mat @ fb))
         measured = element * np.exp(-np.vdot(a, b))
         predicted = candidate.eval_bilinear(a, b)

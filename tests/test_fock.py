@@ -46,6 +46,29 @@ class TestEnumerateBasis:
             enumerate_basis(0, 3)
 
 
+class TestRank:
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("M", [0, 1, 4, 7])
+    def test_rank_of_enumeration_is_its_order(self, d, M):
+        basis = enumerate_basis(d, M)
+        np.testing.assert_array_equal(
+            basis.rank(basis.occupations), np.arange(basis.size)
+        )
+
+    def test_index_matches_enumeration(self):
+        basis = enumerate_basis(3, 4)
+        assert [basis.index(s) for s in basis.states] == list(range(basis.size))
+        assert basis.index([0, 2, 1]) == basis.states.index((0, 2, 1))
+
+    @pytest.mark.parametrize(
+        "state", [(1, 0), (0, 0, 0, 0), (-1, 1, 0), (2, 2, 1), (0, 0, 5)]
+    )
+    def test_index_refuses_states_outside_basis(self, state):
+        basis = enumerate_basis(3, 4)
+        with pytest.raises(KeyError):
+            basis.index(state)
+
+
 class TestLadderOperators:
     def test_single_mode_matrix(self):
         basis = enumerate_basis(1, 2)

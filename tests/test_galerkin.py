@@ -1,17 +1,20 @@
 import numpy as np
 import pytest
 
-from fockprop.benchmarks import coupled_quartic
+import fockprop.galerkin
+from fockprop.benchmarks import coupled_quartic, standard_configs
+from fockprop.cli import run_config
 from fockprop.fock import coherent_vector, enumerate_basis
 from fockprop.galerkin import (
     Flag,
     fit_rate,
     galerkin_sweep,
+    galerkin_sweeps,
     reduce_hamiltonian,
     schrodinger_evolve,
     sweep_to_csv,
 )
-from fockprop.propagate import coherent_matrix_element
+from fockprop.propagate import ExactPropagator, coherent_matrix_element
 from fockprop.quantize import wick_quantize
 from fockprop.symbols import conj_variable, variable
 
@@ -165,6 +168,54 @@ class TestGalerkinSweep:
         lines = path.read_text().splitlines()
         assert lines[0] == "n,re,im,abs_error,slope_running"
         assert len(lines) == 4
+
+
+class TestGalerkinSweeps:
+    def test_members_match_dense_unitary_elements(self):
+        w = coupled_quartic()
+        flag = Flag(d_max=4, ns=(1, 2, 3))
+        alpha = np.array([0.35, 0.1j, 0, 0])
+        beta = np.array([0.25 + 0.15j, 0, -0.1, 0])
+        times = [0.05, 0.3, 0.1]
+        M = 7
+        sweeps = galerkin_sweeps(w, flag, times, alpha, beta, max_quanta=M)
+        assert len(sweeps) == len(times)
+
+        def element(n, t):
+            h_n = reduce_hamiltonian(w, n, enumerate_basis(n, M))
+            return coherent_matrix_element(
+                ExactPropagator(h_n).operator(t), alpha[:n], beta[:n]
+            )
+
+        for t, (records, fit) in zip(times, sweeps):
+            reference = element(4, t)
+            assert [r.parameter for r in records] == list(flag.ns)
+            for r in records:
+                expected = element(r.parameter, t)
+                assert abs(r.value - expected) <= 1e-12
+                assert abs(r.abs_error - abs(expected - reference)) <= 1e-12
+            single, single_fit = galerkin_sweep(w, flag, t, alpha, beta, M)
+            assert [r.value for r in single] == [r.value for r in records]
+            assert single_fit == fit
+
+    def test_tail_checked_on_projected_probes(self):
+        flag = Flag(d_max=2, ns=(1,))
+        with pytest.raises(ValueError, match="max_quanta >="):
+            galerkin_sweeps(zz(2), flag, [0.1, 0.2], [2.0, 0], [0.1, 0], 6)
+
+    def test_cli_sweep_builds_each_hamiltonian_once(self, tmp_path, monkeypatch):
+        cfg = dict(standard_configs()["galerkin_sweep"], M=6)
+        assert cfg["t_scaling"]
+        calls = []
+        original = fockprop.galerkin.reduce_hamiltonian
+
+        def counting(w, n, basis_n, route="wick"):
+            calls.append(n)
+            return original(w, n, basis_n, route=route)
+
+        monkeypatch.setattr(fockprop.galerkin, "reduce_hamiltonian", counting)
+        run_config(cfg, tmp_path)
+        assert sorted(calls) == sorted(cfg["flag"] + [cfg["d"]])
 
 
 class TestSchrodingerEvolve:

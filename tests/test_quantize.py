@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from fockprop.benchmarks import coupled_quartic
 from fockprop.fock import enumerate_basis
 from fockprop.quantize import (
     antiwick_quantize_function,
@@ -19,6 +20,23 @@ from fockprop.symbols import PolySymbol, conj_variable, random_symbol, variable
 
 def zz(d=1):
     return conj_variable(d, 1) * variable(d, 1)
+
+
+def wick_quantize_loop(basis, w):
+    """Reference: one column at a time, rows found in a state -> index dict."""
+    index = {state: i for i, state in enumerate(basis.states)}
+    mat = np.zeros((basis.size, basis.size), dtype=complex)
+    for (kstar, k), coeff in w.terms.items():
+        for col, state in enumerate(basis.states):
+            if any(n < ki for n, ki in zip(state, k)):
+                continue
+            dst = tuple(n - ki + ks for n, ki, ks in zip(state, k, kstar))
+            if sum(dst) > basis.max_quanta:
+                continue
+            falling = math.prod(math.perm(n, ki) for n, ki in zip(state, k))
+            rising = math.prod(math.perm(m, ks) for m, ks in zip(dst, kstar))
+            mat[index[dst], col] += coeff * math.sqrt(falling * rising)
+    return mat
 
 
 def exact_gaussian_moment(k: int, m: int) -> float:
@@ -117,6 +135,20 @@ class TestWickQuantize:
         expected = np.zeros((3, 3))
         expected[basis.index((1, 0)), basis.index((0, 1))] = 1.0
         np.testing.assert_array_equal(mat, expected)
+
+
+class TestWickRowPlacement:
+    def test_coupled_quartic_matches_loop_reference(self):
+        basis = enumerate_basis(4, 6)
+        w = coupled_quartic()
+        assert np.array_equal(wick_quantize(basis, w).mat, wick_quantize_loop(basis, w))
+
+    def test_random_complex_symbol_matches_loop_reference(self):
+        rng = np.random.default_rng(2024)
+        basis = enumerate_basis(3, 5)
+        w = random_symbol(rng, 3, 5, n_terms=20)
+        assert not w.is_real()
+        assert np.array_equal(wick_quantize(basis, w).mat, wick_quantize_loop(basis, w))
 
 
 class TestWickSymbolOracle:
