@@ -9,27 +9,19 @@ to a separate timings.json, the one deliberately non-deterministic output.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .fock import (
-    FockBasis,
-    ccr_defect,
-    coherent_tail_bound,
-    coherent_vector,
-    matrix_from_json,
-    matrix_to_json,
-    min_quanta_for_tail,
-)
+from .fock import FockBasis, ccr_defect, check_coherent_tail, coherent_vector
 from .galerkin import (
     BudgetError,
     Flag,
@@ -39,12 +31,9 @@ from .galerkin import (
     sweep_to_csv,
 )
 from .propagate import (
-    ConvergenceRecord,
-    ExactPropagator,
-    SliceSchedule,
-    chernoff_propagator,
     chernoff_step,
-    coherent_matrix_element,
+    feynman_record,
+    feynman_reference,
     halving_ratios,
     records_to_csv,
     records_to_json,
@@ -54,7 +43,6 @@ from .quantize import (
     antiwick_quantize_function,
     antiwick_quantize_poly,
     gauss_hermite_rule,
-    wick_quantize,
 )
 from .symbols import (
     PhaseGrid,
@@ -136,8 +124,23 @@ def _get_int(cfg, name, required=True, default=None, minimum=None):
     return val
 
 
+def _is_finite(val) -> bool:
+    # json reads NaN, Infinity and integers past float range; refuse all three
+    try:
+        return isinstance(val, (int, float)) and math.isfinite(val)
+    except OverflowError:
+        return False
+
+
+def _is_pair(obj) -> bool:
+    return isinstance(obj, list) and len(obj) == 2 and all(map(_is_finite, obj))
+
+
 def _get_number(cfg, name, required=True, default=None):
-    return _get(cfg, name, (int, float), required, default)
+    val = _get(cfg, name, (int, float), required, default)
+    if val is not None and not _is_finite(val):
+        raise ConfigError(f"{name}: expected a finite number")
+    return val
 
 
 def _parse_complex_vector(obj, modes: int, path: str) -> np.ndarray:
@@ -145,12 +148,8 @@ def _parse_complex_vector(obj, modes: int, path: str) -> np.ndarray:
         raise ConfigError(f"{path}: expected a list of {modes} [re, im] pairs")
     out = np.empty(modes, dtype=complex)
     for i, pair in enumerate(obj):
-        if (
-            not isinstance(pair, list)
-            or len(pair) != 2
-            or not all(isinstance(v, (int, float)) for v in pair)
-        ):
-            raise ConfigError(f"{path}[{i}]: expected [re, im]")
+        if not _is_pair(pair):
+            raise ConfigError(f"{path}[{i}]: expected [re, im] finite numbers")
         out[i] = complex(pair[0], pair[1])
     return out
 
@@ -171,24 +170,24 @@ def _parse_probes(cfg, modes: int, expected: int | None = None):
     return probes
 
 
-def _check_probe_tails(probes, max_quanta: int, tol: float = 1e-10) -> None:
+def _check_probe_tails(probes, max_quanta: int) -> None:
     for i, (a, b) in enumerate(probes):
         for side, point in (("alpha", a), ("beta", b)):
-            x = float((np.abs(point) ** 2).sum())
-            if coherent_tail_bound(x, max_quanta) > tol:
-                raise ConfigError(
-                    f"probes[{i}].{side}: coherent tail exceeds {tol:g} at "
-                    f"M={max_quanta}; raise M to at least "
-                    f"{min_quanta_for_tail(x, tol)}"
-                )
+            try:
+                check_coherent_tail(point, max_quanta)
+            except ValueError as exc:
+                raise ConfigError(f"probes[{i}].{side}: {exc}; raise M") from exc
 
 
 def _parse_symbol(cfg, modes: int) -> PolySymbol:
     literal = _get(cfg, "symbol", list)
     try:
-        return from_term_list(literal, modes=modes)
-    except (ValueError, TypeError) as exc:
+        symbol = from_term_list(literal, modes=modes)
+    except (ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(f"symbol: {exc}") from exc
+    if not all(map(cmath.isfinite, symbol.terms.values())):
+        raise ConfigError("symbol: coefficients must be finite")
+    return symbol
 
 
 # -- validation ------------------------------------------------------------
@@ -221,22 +220,15 @@ def validate_config(cfg) -> dict:
         info["M"] = M
         info["basis_size"] = check_dense_budget(d, M)
 
-    quadrature_kinds = {"lower-bound", "chernoff-sweep"}
-    if kind in quadrature_kinds:
+    quadrature_kind = kind in ("lower-bound", "chernoff-sweep")
+    if quadrature_kind or "Q" in cfg:
         Q = _get_int(cfg, "Q", minimum=1)
-        if d > QUADRATURE_MAX_MODES:
+        if quadrature_kind and d > QUADRATURE_MAX_MODES:
             raise ConfigError(
                 f"d: quadrature route supports at most {QUADRATURE_MAX_MODES} modes"
             )
         info["Q"] = Q
         info["node_count"] = Q ** (2 * d)
-        if info["node_count"] > NODE_SOFT_CAP:
-            info["warnings"].append(
-                f"node count {info['node_count']} exceeds soft cap {NODE_SOFT_CAP}"
-            )
-    elif "Q" in cfg:
-        info["Q"] = _get_int(cfg, "Q", minimum=1)
-        info["node_count"] = info["Q"] ** (2 * d)
         if info["node_count"] > NODE_SOFT_CAP:
             info["warnings"].append(
                 f"node count {info['node_count']} exceeds soft cap {NODE_SOFT_CAP}"
@@ -260,10 +252,11 @@ def validate_config(cfg) -> dict:
             raise ConfigError("symbol: chernoff-sweep requires a real symbol")
         _check_probe_tails(_parse_probes(cfg, d, expected=1), M)
         window = _get(cfg, "halving_window", list, required=False, default=[1.6, 2.4])
-        if len(window) != 2 or not all(isinstance(v, (int, float)) for v in window):
-            raise ConfigError("halving_window: expected [low, high]")
+        if not _is_pair(window):
+            raise ConfigError("halving_window: expected [low, high] finite numbers")
     elif kind == "galerkin-sweep":
         _get_number(cfg, "t")
+        _get_number(cfg, "slope_threshold", required=False)
         flag = _get(cfg, "flag", list)
         if not flag or not all(isinstance(n, int) and n >= 1 for n in flag):
             raise ConfigError("flag: expected a non-empty list of positive integers")
@@ -280,21 +273,17 @@ def validate_config(cfg) -> dict:
         if scaling is not None:
             factor = scaling.get("factor")
             window = scaling.get("window")
-            if not isinstance(factor, (int, float)) or factor <= 1:
-                raise ConfigError("t_scaling.factor: expected a number > 1")
-            if (
-                not isinstance(window, list)
-                or len(window) != 2
-                or not all(isinstance(v, (int, float)) for v in window)
-            ):
-                raise ConfigError("t_scaling.window: expected [low, high]")
+            if not _is_finite(factor) or factor <= 1:
+                raise ConfigError("t_scaling.factor: expected a finite number > 1")
+            if not _is_pair(window):
+                raise ConfigError("t_scaling.window: expected [low, high] finite numbers")
             base_t = scaling.get("base_t")
-            if base_t is not None and not isinstance(base_t, (int, float)):
-                raise ConfigError("t_scaling.base_t: expected a number")
+            if base_t is not None and not _is_finite(base_t):
+                raise ConfigError("t_scaling.base_t: expected a finite number")
     elif kind == "evolve":
         grid = _get(cfg, "t_grid", list)
-        if not grid or not all(isinstance(v, (int, float)) for v in grid):
-            raise ConfigError("t_grid: expected a non-empty list of numbers")
+        if not grid or not all(map(_is_finite, grid)):
+            raise ConfigError("t_grid: expected a non-empty list of finite numbers")
         _parse_symbol(cfg, d)
         initial = _get(cfg, "initial", dict)
         itype = initial.get("type")
@@ -321,40 +310,10 @@ def validate_config(cfg) -> dict:
     return info
 
 
-# -- operator cache ----------------------------------------------------------
-
-
-class OperatorCache:
-    """JSON file cache for quantized operators, keyed by symbol digest."""
-
-    def __init__(self, directory: Path | str | None):
-        self.directory = Path(directory) if directory else None
-        if self.directory:
-            self.directory.mkdir(parents=True, exist_ok=True)
-
-    def _path(self, route: str, symbol: PolySymbol, basis: FockBasis) -> Path:
-        key = (
-            f"{route}-{symbol_digest(symbol)[:32]}"
-            f"-d{basis.modes}-M{basis.max_quanta}.json"
-        )
-        return self.directory / key
-
-    def quantize(self, route: str, symbol: PolySymbol, basis: FockBasis):
-        build = wick_quantize if route == "wick" else antiwick_quantize_poly
-        if not self.directory:
-            return build(basis, symbol)
-        path = self._path(route, symbol, basis)
-        if path.exists():
-            return matrix_from_json(json.loads(path.read_text()))
-        op = build(basis, symbol)
-        _atomic_write_text(path, json.dumps(matrix_to_json(op)))
-        return op
-
-
 # -- experiment kinds --------------------------------------------------------
 
 
-def _run_ccr(cfg, rng, ctx):
+def _run_ccr(cfg, rng):
     d, M = cfg["d"], cfg["M"]
     basis = FockBasis(d, M)
     worst_protected = 0.0
@@ -368,10 +327,10 @@ def _run_ccr(cfg, rng, ctx):
         Check("ccr-protected-defect", worst_protected <= 1e-12, worst_protected, 1e-12)
     ]
     metrics = {"basis_size": basis.size, "pair_defects": pairs}
-    return checks, metrics, {}
+    return checks, metrics, {}, {}
 
 
-def _run_symbol_roundtrip(cfg, rng, ctx):
+def _run_symbol_roundtrip(cfg, rng):
     d = cfg["d"]
     degree = cfg.get("degree", 6)
     count = cfg.get("count", 200)
@@ -391,10 +350,10 @@ def _run_symbol_roundtrip(cfg, rng, ctx):
         Check("roundtrip-max-deviation", worst <= 1e-12, worst, 1e-12),
         Check("degree-law", degree_law_ok, float(degree_law_ok), 1.0),
     ]
-    return checks, {"samples": count, "max_degree": degree}, {}
+    return checks, {"samples": count, "max_degree": degree}, {}, {}
 
 
-def _run_lower_bound(cfg, rng, ctx):
+def _run_lower_bound(cfg, rng):
     d, M, Q = cfg["d"], cfg["M"], cfg["Q"]
     degree = cfg.get("degree", 4)
     count = cfg.get("count", 50)
@@ -425,23 +384,10 @@ def _run_lower_bound(cfg, rng, ctx):
         # ordering correction; reported, not gated
         "poly_route_min_eigenvalue": worst_poly_dip,
     }
-    return checks, metrics, {}
+    return checks, metrics, {}, {}
 
 
-def _chernoff_record(a, t, n, alpha, beta, basis, rule, reference):
-    start = time.perf_counter()
-    prop = chernoff_propagator(a, SliceSchedule(t, n), basis, rule)
-    value = coherent_matrix_element(prop, alpha, beta)
-    return ConvergenceRecord(
-        parameter=n,
-        observable="coherent_element",
-        value=value,
-        abs_error=abs(value - reference),
-        seconds=time.perf_counter() - start,
-    )
-
-
-def _run_chernoff_sweep(cfg, rng, ctx):
+def _run_chernoff_sweep(cfg, rng):
     d, M, Q, t = cfg["d"], cfg["M"], cfg["Q"], float(cfg["t"])
     ns = cfg["Ns"]
     window = cfg.get("halving_window", [1.6, 2.4])
@@ -450,26 +396,11 @@ def _run_chernoff_sweep(cfg, rng, ctx):
     basis = FockBasis(d, M)
     rule = gauss_hermite_rule(d, Q)
 
-    hamiltonian = ctx.cache.quantize("antiwick", symbol, basis)
-    reference = coherent_matrix_element(
-        ExactPropagator(hamiltonian).operator(t), alpha, beta
-    )
-    if ctx.threads > 1:
-        with ThreadPoolExecutor(max_workers=ctx.threads) as pool:
-            records = list(
-                pool.map(
-                    lambda n: _chernoff_record(
-                        symbol, t, n, alpha, beta, basis, rule, reference
-                    ),
-                    ns,
-                )
-            )
-    else:
-        records = [
-            _chernoff_record(symbol, t, n, alpha, beta, basis, rule, reference)
-            for n in ns
-        ]
-    records.sort(key=lambda r: r.parameter)
+    reference = feynman_reference(symbol, t, alpha, beta, basis)
+    records = [
+        feynman_record(symbol, t, n, alpha, beta, basis, rule, reference)
+        for n in ns
+    ]
 
     ratios = halving_ratios(records)
     in_window = all(window[0] <= r <= window[1] for _, r in ratios) and bool(ratios)
@@ -500,7 +431,7 @@ def _run_chernoff_sweep(cfg, rng, ctx):
     return checks, metrics, artifacts, timings
 
 
-def _run_galerkin_sweep(cfg, rng, ctx):
+def _run_galerkin_sweep(cfg, rng):
     d, M, t = cfg["d"], cfg["M"], float(cfg["t"])
     flag = Flag(d_max=d, ns=tuple(cfg["flag"]))
     symbol = from_term_list(cfg["symbol"], modes=d)
@@ -518,7 +449,6 @@ def _run_galerkin_sweep(cfg, rng, ctx):
         times += [base_t, factor * base_t]
     sweeps = galerkin_sweeps(
         symbol, flag, times, alpha, beta, M, route=route, threshold=threshold,
-        threads=ctx.threads,
     )
     records, fit = sweeps[0]
     errors = [r.abs_error for r in records]
@@ -565,7 +495,7 @@ def _run_galerkin_sweep(cfg, rng, ctx):
     return checks, metrics, artifacts, timings
 
 
-def _run_evolve(cfg, rng, ctx):
+def _run_evolve(cfg, rng):
     d, M = cfg["d"], cfg["M"]
     symbol = from_term_list(cfg["symbol"], modes=d)
     t_grid = [float(v) for v in cfg["t_grid"]]
@@ -667,14 +597,7 @@ def _write_artifact(out_dir: Path, name: str, writer) -> None:
             tmp.unlink()
 
 
-@dataclass
-class RunContext:
-    threads: int
-    cache: OperatorCache
-
-
-def run_config(cfg: dict, out_dir: Path, threads: int = 1,
-               cache_dir=None) -> dict:
+def run_config(cfg: dict, out_dir: Path) -> dict:
     """Execute one experiment; writes report.json, timings.json and artifacts.
 
     Returns the report payload.  Raises ConfigError / BudgetError for
@@ -683,16 +606,10 @@ def run_config(cfg: dict, out_dir: Path, threads: int = 1,
     validate_config(cfg)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    ctx = RunContext(threads=max(1, threads), cache=OperatorCache(cache_dir))
     rng = np.random.default_rng(cfg.get("seed", 0))
 
     started = time.perf_counter()
-    outcome = _RUNNERS[cfg["kind"]](cfg, rng, ctx)
-    if len(outcome) == 3:
-        checks, metrics, artifacts = outcome
-        timings: dict = {}
-    else:
-        checks, metrics, artifacts, timings = outcome
+    checks, metrics, artifacts, timings = _RUNNERS[cfg["kind"]](cfg, rng)
     total = time.perf_counter() - started
 
     outputs = cfg.get("outputs", {})
@@ -748,8 +665,6 @@ def main(argv=None) -> int:
     run_p = sub.add_parser("run", help="run an experiment config")
     run_p.add_argument("config")
     run_p.add_argument("--out-dir", default=".")
-    run_p.add_argument("--threads", type=int, default=1)
-    run_p.add_argument("--cache-dir", default=os.environ.get("FOCKPROP_CACHE_DIR"))
 
     val_p = sub.add_parser("validate", help="validate a config without running")
     val_p.add_argument("config")
@@ -773,10 +688,7 @@ def main(argv=None) -> int:
                 print(f"warning: {warning}")
             print("valid")
             return EXIT_OK
-        report = run_config(
-            cfg, Path(args.out_dir), threads=args.threads,
-            cache_dir=args.cache_dir,
-        )
+        report = run_config(cfg, Path(args.out_dir))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -33,15 +33,11 @@ __all__ = [
     "gamma_of",
     "dgamma",
     "coherent_vector",
+    "check_coherent_tail",
     "checked_coherent_components",
     "coherent_overlap",
     "coherent_tail_bound",
     "min_quanta_for_tail",
-    "hermitian_defect",
-    "basis_to_json",
-    "basis_from_json",
-    "matrix_to_json",
-    "matrix_from_json",
 ]
 
 
@@ -310,23 +306,27 @@ def coherent_vector(basis: FockBasis, alpha) -> CoherentVector:
     return CoherentVector(basis=basis, alpha=a, components=comp)
 
 
-def checked_coherent_components(
-    basis: FockBasis, point, tail_tol: float = 1e-10
-) -> np.ndarray:
-    """Components of the coherent vector at `point`, after a cutoff-tail check.
+def check_coherent_tail(point, max_quanta: int, tail_tol: float = 1e-10) -> None:
+    """Refuse a coherent point whose quanta-cutoff tail exceeds tail_tol.
 
-    Refuses a point whose quanta-cutoff tail exceeds tail_tol, with a hint
-    for the cutoff that would suffice.
+    The ValueError names the cutoff that would suffice.
     """
-    a = as_phase_point(point, basis.modes)
-    x = float((np.abs(a) ** 2).sum())
-    tail = coherent_tail_bound(x, basis.max_quanta)
+    x = float((np.abs(np.asarray(point)) ** 2).sum())
+    tail = coherent_tail_bound(x, max_quanta)
     if tail > tail_tol:
         needed = min_quanta_for_tail(x, tail_tol)
         raise ValueError(
             f"coherent tail {tail:.3g} > {tail_tol:.3g} at |alpha|^2={x:.3g}; "
             f"max_quanta >= {needed} required"
         )
+
+
+def checked_coherent_components(
+    basis: FockBasis, point, tail_tol: float = 1e-10
+) -> np.ndarray:
+    """Components of the coherent vector at `point`, after check_coherent_tail."""
+    a = as_phase_point(point, basis.modes)
+    check_coherent_tail(a, basis.max_quanta, tail_tol)
     return coherent_vector(basis, a).components
 
 
@@ -354,37 +354,3 @@ def min_quanta_for_tail(x: float, tol: float, cap: int = 10_000) -> int:
         if coherent_tail_bound(x, m) <= tol:
             return m
     raise ValueError(f"no cutoff below {cap} reaches tail {tol} for x={x}")
-
-
-def hermitian_defect(mat: np.ndarray) -> float:
-    return float(np.abs(mat - np.conj(mat.T)).max())
-
-
-# -- JSON serialization (binary-free; used by the CLI cache) -------------
-
-
-def basis_to_json(basis: FockBasis) -> dict:
-    return {"modes": basis.modes, "max_quanta": basis.max_quanta, "size": basis.size}
-
-
-def basis_from_json(data: dict) -> FockBasis:
-    basis = FockBasis(int(data["modes"]), int(data["max_quanta"]))
-    if "size" in data and int(data["size"]) != basis.size:
-        raise ValueError("basis size mismatch in serialized data")
-    return basis
-
-
-def matrix_to_json(op: OperatorMatrix) -> dict:
-    flat = op.mat.reshape(-1)
-    return {
-        "basis": basis_to_json(op.basis),
-        "shape": list(op.mat.shape),
-        "entries": [[z.real, z.imag] for z in flat],
-    }
-
-
-def matrix_from_json(data: dict) -> OperatorMatrix:
-    basis = basis_from_json(data["basis"])
-    shape = tuple(data["shape"])
-    entries = np.array([complex(re, im) for re, im in data["entries"]])
-    return OperatorMatrix(basis, entries.reshape(shape))

@@ -13,7 +13,6 @@ from __future__ import annotations
 import csv
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -170,7 +169,6 @@ def galerkin_sweep(
     route: str = "wick",
     tail_tol: float = 1e-10,
     threshold: float = DEFAULT_SLOPE_THRESHOLD,
-    threads: int = 1,
 ) -> tuple[list[ConvergenceRecord], RateFit]:
     """Coherent-element errors of the reduced evolutions vs the d_max reference.
 
@@ -180,7 +178,7 @@ def galerkin_sweep(
     """
     return galerkin_sweeps(
         w, flag, [t], alpha, beta, max_quanta, route=route,
-        tail_tol=tail_tol, threshold=threshold, threads=threads,
+        tail_tol=tail_tol, threshold=threshold,
     )[0]
 
 
@@ -194,7 +192,6 @@ def galerkin_sweeps(
     route: str = "wick",
     tail_tol: float = 1e-10,
     threshold: float = DEFAULT_SLOPE_THRESHOLD,
-    threads: int = 1,
 ) -> list[tuple[list[ConvergenceRecord], RateFit]]:
     """Galerkin sweeps at several times, one (records, fit) pair per time.
 
@@ -204,8 +201,7 @@ def galerkin_sweeps(
     first n modes is then one propagated vector, O(size^2), not a dense
     unitary.  The d_max reference at the same quanta cutoff is built once
     the same way, and each record's error is taken against the reference
-    at its own time.  Flag members are independent; threads > 1 evaluates
-    them concurrently with a deterministic merge by n.
+    at its own time.
 
     A record's `seconds` is its member's build, decomposition and element
     time for all times together, so every time reports the same value.
@@ -227,11 +223,7 @@ def galerkin_sweeps(
         return n, values, time.perf_counter() - start
 
     _, reference, _ = member(w.modes)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            members = list(pool.map(member, flag.ns))
-    else:
-        members = [member(n) for n in flag.ns]
+    members = [member(n) for n in flag.ns]
 
     sweeps = []
     for k, ref in enumerate(reference):

@@ -33,6 +33,8 @@ __all__ = [
     "chernoff_step",
     "chernoff_propagator",
     "coherent_matrix_element",
+    "feynman_reference",
+    "feynman_record",
     "feynman_convergence_table",
     "halving_ratios",
     "records_to_csv",
@@ -141,6 +143,39 @@ def coherent_matrix_element(
     return complex(np.vdot(fa, op.mat @ fb))
 
 
+def feynman_reference(
+    a: PolySymbol, t: float, alpha, beta, basis: FockBasis, tail_tol: float = 1e-10
+) -> complex:
+    """Spectral-oracle coherent element of exp(-i A t), A the anti-Wick
+    quantization of `a`: the generator the anti-normal slicing converges to."""
+    oracle = ExactPropagator(antiwick_quantize_poly(basis, a))
+    return coherent_matrix_element(oracle.operator(t), alpha, beta, tail_tol=tail_tol)
+
+
+def feynman_record(
+    a: PolySymbol,
+    t: float,
+    n: int,
+    alpha,
+    beta,
+    basis: FockBasis,
+    rule: QuadratureRule,
+    reference: complex,
+    tail_tol: float = 1e-10,
+) -> ConvergenceRecord:
+    """One table row: the n-slice propagator's coherent element vs `reference`."""
+    start = time.perf_counter()
+    prop = chernoff_propagator(a, SliceSchedule(t, n), basis, rule)
+    value = coherent_matrix_element(prop, alpha, beta, tail_tol=tail_tol)
+    return ConvergenceRecord(
+        parameter=n,
+        observable="coherent_element",
+        value=value,
+        abs_error=abs(value - reference),
+        seconds=time.perf_counter() - start,
+    )
+
+
 def feynman_convergence_table(
     a: PolySymbol,
     t: float,
@@ -153,35 +188,19 @@ def feynman_convergence_table(
 ) -> list[ConvergenceRecord]:
     """Sliced-propagator coherent elements vs the spectral oracle, per N.
 
-    The reference Hamiltonian is the anti-Wick quantization of `a` (the
-    slicing is anti-normal, so that is the generator the product converges
-    to).  Ns must be ascending.
+    One feynman_reference, then one feynman_record per N.  Ns must be
+    ascending.
     """
     Ns = list(Ns)
     if any(n2 <= n1 for n1, n2 in zip(Ns, Ns[1:])):
         raise ValueError("Ns must be strictly ascending")
     if not Ns:
         return []
-    oracle = ExactPropagator(antiwick_quantize_poly(basis, a))
-    reference = coherent_matrix_element(
-        oracle.operator(t), alpha, beta, tail_tol=tail_tol
-    )
-    records = []
-    for n in Ns:
-        start = time.perf_counter()
-        prop = chernoff_propagator(a, SliceSchedule(t, n), basis, rule)
-        value = coherent_matrix_element(prop, alpha, beta, tail_tol=tail_tol)
-        seconds = time.perf_counter() - start
-        records.append(
-            ConvergenceRecord(
-                parameter=n,
-                observable="coherent_element",
-                value=value,
-                abs_error=abs(value - reference),
-                seconds=seconds,
-            )
-        )
-    return records
+    reference = feynman_reference(a, t, alpha, beta, basis, tail_tol)
+    return [
+        feynman_record(a, t, n, alpha, beta, basis, rule, reference, tail_tol)
+        for n in Ns
+    ]
 
 
 def halving_ratios(records: Sequence[ConvergenceRecord]) -> list[tuple[int, float]]:

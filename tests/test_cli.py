@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -16,7 +17,10 @@ from fockprop.cli import (
     run_config,
     validate_config,
 )
-from fockprop.symbols import to_term_list
+from fockprop.fock import FockBasis
+from fockprop.propagate import feynman_convergence_table
+from fockprop.quantize import gauss_hermite_rule
+from fockprop.symbols import from_term_list, to_term_list
 
 
 def write_config(tmp_path, cfg, name="config.json"):
@@ -73,6 +77,60 @@ class TestValidate:
             probes=[{"alpha": [[2.5, 0.0]], "beta": [[0.1, 0.0]]}]
         )
         with pytest.raises(ConfigError, match="raise M"):
+            validate_config(cfg)
+
+    def test_probe_tail_names_field_and_cutoff(self):
+        cfg = chernoff_config(
+            probes=[{"alpha": [[0.1, 0.0]], "beta": [[2.5, 0.0]]}]
+        )
+        with pytest.raises(ConfigError, match=r"^probes\[0\]\.beta: .*max_quanta >= \d+"):
+            validate_config(cfg)
+
+
+GALERKIN = standard_configs()["galerkin_sweep"]
+
+# json reads NaN and Infinity; validate and run must both refuse them (exit 2)
+NON_FINITE = {
+    "t": lambda: chernoff_config(t=float("nan")),
+    "probes[0].alpha[0]": lambda: chernoff_config(
+        probes=[{"alpha": [[float("nan"), 0.0]], "beta": [[0.2, 0.1]]}]
+    ),
+    "t_grid": lambda: dict(standard_configs()["evolve"], t_grid=[0.0, float("inf")]),
+    "symbol": lambda: dict(
+        standard_configs()["evolve"],
+        symbol=[{"kstar": [1], "k": [1], "re": float("nan"), "im": 0.0}],
+    ),
+}
+
+
+class TestNonFiniteNumbers:
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize("field", sorted(NON_FINITE))
+    def test_exit_config_error(self, tmp_path, capsys, command, field):
+        path = write_config(tmp_path, NON_FINITE[field]())
+        out = tmp_path / "out"
+        argv = [command, str(path)] + (["--out-dir", str(out)] if command == "run" else [])
+        assert main(argv) == EXIT_CONFIG
+        assert f"config error: {field}:" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("field,cfg", [
+        ("t", chernoff_config(t=10**400)),
+        ("halving_window", chernoff_config(halving_window=[1.6, float("inf")])),
+        ("symbol", dict(GALERKIN, symbol=[{"kstar": [1, 0, 0, 0], "k": [1, 0, 0, 0],
+                                          "re": 10**400, "im": 0.0}])),
+        ("radius", {"schema": 1, "kind": "lower-bound", "d": 1, "M": 6, "Q": 8,
+                    "radius": float("-inf")}),
+        ("slope_threshold", dict(GALERKIN, slope_threshold=float("nan"))),
+        ("t_scaling.factor", dict(GALERKIN, t_scaling=dict(
+            GALERKIN["t_scaling"], factor=float("nan")))),
+        ("t_scaling.window", dict(GALERKIN, t_scaling=dict(
+            GALERKIN["t_scaling"], window=[2.5, float("nan")]))),
+        ("t_scaling.base_t", dict(GALERKIN, t_scaling=dict(
+            GALERKIN["t_scaling"], base_t=float("inf")))),
+    ])
+    def test_number_fields(self, field, cfg):
+        with pytest.raises(ConfigError, match=rf"^{re.escape(field)}: "):
             validate_config(cfg)
 
 
@@ -156,6 +214,20 @@ class TestRunKinds:
         assert max(states["norm_defects"]) <= 1e-8
 
 
+class TestChernoffTable:
+    def test_rows_match_library_table(self, tmp_path):
+        cfg = chernoff_config(Ns=[4, 8, 16])
+        run_config(cfg, tmp_path)
+        rows = json.loads((tmp_path / "chernoff_table.json").read_text())["records"]
+        records = feynman_convergence_table(
+            from_term_list(cfg["symbol"], modes=1), cfg["t"], cfg["Ns"],
+            [0.3], [0.2 + 0.1j], FockBasis(1, cfg["M"]), gauss_hermite_rule(1, cfg["Q"]),
+        )
+        assert [(r["parameter"], r["re"], r["im"], r["abs_error"]) for r in rows] == [
+            (r.parameter, r.value.real, r.value.imag, r.abs_error) for r in records
+        ]
+
+
 class TestExitCodes:
     def test_ok(self, tmp_path, capsys):
         cfg = write_config(tmp_path, chernoff_config())
@@ -181,6 +253,14 @@ class TestExitCodes:
             tmp_path, {"schema": 1, "kind": "ccr-check", "d": 4, "M": 40}
         )
         assert main(["run", str(cfg)]) == EXIT_BUDGET
+
+    def test_removed_run_options_are_unknown(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, chernoff_config())
+        for option in (["--threads", "2"], ["--cache-dir", str(tmp_path)]):
+            with pytest.raises(SystemExit) as exc:
+                main(["run", str(cfg)] + option)
+            assert exc.value.code == EXIT_CONFIG
+            assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_validate_prints_estimates(self, tmp_path, capsys):
         cfg = write_config(
@@ -209,36 +289,13 @@ class TestDeterminism:
         run_config(cfg, out2)
         assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
 
-    def test_thread_count_does_not_change_results(self, tmp_path):
-        cfg = chernoff_config(Ns=[2, 4, 8])
-        out1, out2 = tmp_path / "serial", tmp_path / "pooled"
-        run_config(cfg, out1, threads=1)
-        run_config(cfg, out2, threads=3)
-        assert (out1 / "chernoff_table.csv").read_bytes() == (
-            out2 / "chernoff_table.csv"
-        ).read_bytes()
-        assert (out1 / "report.json").read_bytes() == (
-            out2 / "report.json"
-        ).read_bytes()
 
-
-class TestCache:
-    def test_cache_roundtrip(self, tmp_path):
-        cache = tmp_path / "cache"
-        out1, out2 = tmp_path / "r1", tmp_path / "r2"
-        cfg = chernoff_config()
-        run_config(cfg, out1, cache_dir=cache)
-        cached = list(cache.glob("antiwick-*.json"))
-        assert len(cached) == 1
-        run_config(cfg, out2, cache_dir=cache)
-        assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
-
-    def test_env_var_sets_cache_dir(self, tmp_path, monkeypatch):
-        cache = tmp_path / "envcache"
-        monkeypatch.setenv("FOCKPROP_CACHE_DIR", str(cache))
-        cfg = write_config(tmp_path, chernoff_config())
-        assert main(["run", str(cfg), "--out-dir", str(tmp_path / "out")]) == EXIT_OK
-        assert list(cache.glob("antiwick-*.json"))
+class TestShippedConfigs:
+    @pytest.mark.parametrize("name", sorted(standard_configs()))
+    def test_matches_generator(self, name):
+        shipped = Path(__file__).resolve().parent.parent / "configs" / f"{name}.json"
+        cfg = standard_configs()[name]
+        assert shipped.read_text() == json.dumps(cfg, indent=2, sort_keys=True) + "\n"
 
 
 class TestEvolveChernoffMethod:

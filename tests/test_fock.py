@@ -6,8 +6,6 @@ import pytest
 from fockprop.fock import (
     OperatorMatrix,
     annihilator,
-    basis_from_json,
-    basis_to_json,
     ccr_defect,
     coherent_overlap,
     coherent_tail_bound,
@@ -17,8 +15,6 @@ from fockprop.fock import (
     enumerate_basis,
     gamma_diag,
     gamma_of,
-    matrix_from_json,
-    matrix_to_json,
     min_quanta_for_tail,
 )
 
@@ -338,20 +334,3 @@ class TestOperatorMatrix:
         basis = enumerate_basis(1, 3)
         assert OperatorMatrix(basis, np.diag([1.0, 2, 3, 4])).is_hermitian
         assert not OperatorMatrix(basis, np.diag([1j, 0, 0, 0])).is_hermitian
-
-
-class TestSerialization:
-    def test_basis_roundtrip(self):
-        basis = enumerate_basis(3, 5)
-        assert basis_from_json(basis_to_json(basis)) == basis
-
-    def test_matrix_roundtrip_exact(self):
-        basis = enumerate_basis(2, 3)
-        rng = np.random.default_rng(15)
-        mat = rng.standard_normal((basis.size, basis.size)) + 1j * rng.standard_normal(
-            (basis.size, basis.size)
-        )
-        op = OperatorMatrix(basis, mat)
-        back = matrix_from_json(matrix_to_json(op))
-        np.testing.assert_array_equal(back.mat, op.mat)
-        assert back.basis == basis
