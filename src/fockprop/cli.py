@@ -179,6 +179,14 @@ def _check_probe_tails(probes, max_quanta: int) -> None:
                 raise ConfigError(f"probes[{i}].{side}: {exc}; raise M") from exc
 
 
+def _check_slice_order(Q: int, M: int) -> None:
+    # a slice's rule resolves the identity on the basis only from Q = M + 1
+    if Q < M + 1:
+        raise ConfigError(
+            f"Q: rule order {Q} < M + 1 = {M + 1}; chernoff slices need Q >= M + 1"
+        )
+
+
 def _parse_symbol(cfg, modes: int) -> PolySymbol:
     literal = _get(cfg, "symbol", list)
     try:
@@ -248,6 +256,7 @@ def validate_config(cfg) -> dict:
             raise ConfigError("Ns: expected a non-empty list of positive integers")
         if any(b <= a for a, b in zip(ns, ns[1:])):
             raise ConfigError("Ns: must be strictly ascending")
+        _check_slice_order(Q, M)
         if not _parse_symbol(cfg, d).is_real():
             raise ConfigError("symbol: chernoff-sweep requires a real symbol")
         _check_probe_tails(_parse_probes(cfg, d, expected=1), M)
@@ -293,6 +302,15 @@ def validate_config(cfg) -> dict:
             )
         if itype == "coherent":
             _parse_complex_vector(initial.get("alpha"), d, "initial.alpha")
+        elif itype == "vector":
+            comp = _parse_complex_vector(
+                initial.get("components"), info["basis_size"], "initial.components"
+            )
+            norm = float(np.linalg.norm(comp))
+            if abs(norm - 1.0) > 1e-8:
+                raise ConfigError(
+                    f"initial.components: norm {norm!r} is not 1 within 1e-8"
+                )
         route = _get(cfg, "route", str, required=False, default="wick")
         if route not in ("wick", "antiwick"):
             raise ConfigError("route: expected 'wick' or 'antiwick'")
@@ -301,7 +319,9 @@ def validate_config(cfg) -> dict:
             raise ConfigError("method: expected 'oracle' or 'chernoff'")
         if method == "chernoff":
             _get_int(cfg, "slices", required=False, default=32, minimum=1)
-            _get_int(cfg, "Q", required=False, default=None, minimum=1)
+            Q = _get_int(cfg, "Q", required=False, default=None, minimum=1)
+            if Q is not None:
+                _check_slice_order(Q, M)
             if d > QUADRATURE_MAX_MODES:
                 raise ConfigError(
                     f"d: chernoff method needs quadrature, at most "
@@ -397,14 +417,18 @@ def _run_chernoff_sweep(cfg, rng):
     rule = gauss_hermite_rule(d, Q)
 
     reference = feynman_reference(symbol, t, alpha, beta, basis)
+    # the last N's slice also serves the contractivity check
+    start = time.perf_counter()
+    step = chernoff_step(symbol, t / ns[-1], basis, rule)
+    step_seconds = time.perf_counter() - start
     records = [
-        feynman_record(symbol, t, n, alpha, beta, basis, rule, reference)
+        feynman_record(symbol, t, n, alpha, beta, basis, rule, reference,
+                       step=step if n == ns[-1] else None)
         for n in ns
     ]
 
     ratios = halving_ratios(records)
     in_window = all(window[0] <= r <= window[1] for _, r in ratios) and bool(ratios)
-    step = chernoff_step(symbol, t / ns[-1], basis, rule)
     spectral_norm = float(np.linalg.norm(step.mat, ord=2))
     checks = [
         Check("halving-ratio-window", in_window,
@@ -428,6 +452,7 @@ def _run_chernoff_sweep(cfg, rng):
         ),
     }
     timings = {f"N={r.parameter}": r.seconds for r in records}
+    timings[f"N={ns[-1]}"] += step_seconds
     return checks, metrics, artifacts, timings
 
 

@@ -118,13 +118,19 @@ def chernoff_propagator(
     sched: SliceSchedule,
     basis: FockBasis,
     rule: QuadratureRule,
+    step: OperatorMatrix | None = None,
 ) -> OperatorMatrix:
-    """N-fold product of slice operators; spectral norm <= 1 + resolution defect."""
+    """N-fold product of slice operators; spectral norm <= 1 + resolution defect.
+
+    `step`, if given, is the slice chernoff_step(a, sched.tau, basis, rule)
+    already built by the caller.
+    """
     if rule.order < basis.max_quanta + 1:
         raise ValueError(
             f"rule order {rule.order} < max_quanta + 1 = {basis.max_quanta + 1}"
         )
-    step = chernoff_step(a, sched.tau, basis, rule)
+    if step is None:
+        step = chernoff_step(a, sched.tau, basis, rule)
     return OperatorMatrix(
         basis, np.linalg.matrix_power(step.mat, sched.slices)
     )
@@ -162,10 +168,15 @@ def feynman_record(
     rule: QuadratureRule,
     reference: complex,
     tail_tol: float = 1e-10,
+    step: OperatorMatrix | None = None,
 ) -> ConvergenceRecord:
-    """One table row: the n-slice propagator's coherent element vs `reference`."""
+    """One table row: the n-slice propagator's coherent element vs `reference`.
+
+    `step` is passed to chernoff_propagator: the slice for tau = t / n, if
+    the caller has built it.
+    """
     start = time.perf_counter()
-    prop = chernoff_propagator(a, SliceSchedule(t, n), basis, rule)
+    prop = chernoff_propagator(a, SliceSchedule(t, n), basis, rule, step=step)
     value = coherent_matrix_element(prop, alpha, beta, tail_tol=tail_tol)
     return ConvergenceRecord(
         parameter=n,

@@ -49,7 +49,6 @@ class QuadratureRule:
     order: int
     nodes: np.ndarray
     weights: np.ndarray
-    log_weights: np.ndarray
     axis_nodes: np.ndarray
     axis_weights: np.ndarray
 
@@ -87,7 +86,6 @@ def gauss_hermite_rule(modes: int, order: int) -> QuadratureRule:
         order=order,
         nodes=nodes,
         weights=np.exp(log_weights),
-        log_weights=log_weights,
         axis_nodes=x,
         axis_weights=w,
     )
@@ -199,51 +197,58 @@ def antiwick_quantize_function(
     basis: FockBasis,
     f: Callable[[np.ndarray], np.ndarray],
     rule: QuadratureRule,
-    chunk: int = 8192,
 ) -> OperatorMatrix:
     """Anti-Wick operator of a phase-space function by coherent quadrature.
 
-    Returns sum_q W_q f(z_q) |z_q><z_q| with normalized coherent vectors;
-    W_q is the rule weight with the projector normalization exp(|z_q|^2)
-    folded back in, computed in log space so outer nodes neither overflow
-    nor underflow.  `f` must accept an (n, d) complex array and return (n,)
-    values, finite on every node.
+    Returns sum_q W_q f(z_q) |z_q><z_q| with normalized coherent vectors,
+    W_q the rule weight with the projector normalization exp(|z_q|^2)
+    folded back in.  `f` must accept an (n, d) complex array and return
+    (n,) values, finite on every node.
+
+    The rule is a tensor product of one 2-D factor per mode, and so is
+    W_q |z_q><z_q|: its (n, m) entry is prod_i phi[n_i, p_i] conj
+    phi[m_i, p_i] with phi[n, p] = sqrt(w_p) z_p^n / sqrt(n!), the
+    Gaussian of the coherent vector cancelling the exp(|z|^2) in W_q.  So
+    the node sum is done one mode at a time (sum factorization): modes
+    1..d-1 against the pair kernel K[(n, m), p] = phi[n, p] conj phi[m, p],
+    the last one as the gemm (phi * x) @ phi^H, for O((M+1)^2 Q^(2d))
+    work in all.  Basis entries are gathered from the (M+1)^(2d) result.
     """
     if rule.modes != basis.modes:
         raise ValueError(
             f"rule has {rule.modes} modes but basis has {basis.modes}"
         )
-    occ = basis.occupations
-    max_occ = int(occ.max()) if basis.max_quanta > 0 else 0
-    inv_sqrt_fact = np.ones(basis.size)
-    for i in range(basis.modes):
-        inv_sqrt_fact *= np.array(
-            [1.0 / math.sqrt(math.factorial(int(e))) for e in occ[:, i]]
+    vals = np.asarray(f(rule.nodes), dtype=complex)
+    if vals.shape != (rule.count,):
+        raise ValueError(
+            f"f returned shape {vals.shape}, expected ({rule.count},)"
         )
+    if not np.all(np.isfinite(vals)):
+        raise ValueError("f is non-finite at a quadrature node")
 
-    # keep the coherent-column buffer around a few tens of MB
-    chunk = max(32, min(chunk, 2_000_000 // basis.size))
-    acc = np.zeros((basis.size, basis.size), dtype=complex)
-    for start in range(0, rule.count, chunk):
-        nodes = rule.nodes[start : start + chunk]
-        logw = rule.log_weights[start : start + chunk]
-        vals = np.asarray(f(nodes), dtype=complex)
-        if vals.shape != (len(nodes),):
-            raise ValueError(
-                f"f returned shape {vals.shape}, expected ({len(nodes)},)"
-            )
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("f is non-finite at a quadrature node")
-        norm_sq = (np.abs(nodes) ** 2).sum(axis=1)
-        # normalized coherent columns: damp by exp(-|z|^2 / 2)
-        cols = np.tile(inv_sqrt_fact[:, None], (1, len(nodes))).astype(complex)
-        for i in range(basis.modes):
-            powers = np.empty((max_occ + 1, len(nodes)), dtype=complex)
-            powers[0] = 1.0
-            for e in range(1, max_occ + 1):
-                powers[e] = powers[e - 1] * nodes[:, i]
-            cols *= powers[occ[:, i]]
-        cols *= np.exp(-0.5 * norm_sq)[None, :]
-        weight = np.exp(logw + norm_sq)
-        acc += (cols * (weight * vals)[None, :]) @ cols.conj().T
-    return OperatorMatrix(basis, acc)
+    # one mode's factor rule: P = Q^2 points, index p = i * Q + j
+    x, w = rule.axis_nodes, rule.axis_weights
+    z = (x[:, None] + 1j * x[None, :]).reshape(-1)
+    sqrt_w = np.sqrt(np.outer(w, w).reshape(-1) / math.pi)
+    levels = basis.max_quanta + 1
+    steps = z[None, :] / np.sqrt(np.arange(1, levels))[:, None]
+    phi = np.cumprod(np.vstack([sqrt_w[None, :], steps]), axis=0)
+
+    # contract the leading node axis, append its (n, m) pair axis at the
+    # end; the kernel is built in the loop, so d = 1 pays nothing for it
+    points = len(z)
+    acc = vals
+    for _ in range(basis.modes - 1):
+        kernel = (phi[:, None, :] * phi.conj()[None, :, :]).reshape(levels**2, -1)
+        acc = acc.reshape(points, -1).T @ kernel.T
+    # the last mode as one gemm with a (pairs so far, n) row per phi row;
+    # at d = 1 a kernel product would be a gemv, which OpenBLAS threads
+    # with nothing to gain
+    last = acc.reshape(points, -1).T
+    acc = (last[:, None, :] * phi[None, :, :]).reshape(-1, points) @ phi.conj().T
+
+    # entry (r, c) sits at pair (occ[r, i], occ[c, i]) of every mode i
+    stride = levels ** (2 * np.arange(basis.modes - 1, -1, -1))
+    occ = basis.occupations
+    flat = (occ @ (stride * levels))[:, None] + (occ @ stride)[None, :]
+    return OperatorMatrix(basis, acc.reshape(-1)[flat])

@@ -15,7 +15,6 @@ concatenated (kstar, k) so that serialization is byte-stable.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -388,10 +387,8 @@ class PhaseGrid:
             raise ValueError(
                 f"grid would have {len(per_mode) ** modes} points; reduce counts"
             )
-        if modes == 1:
-            return per_mode[:, None]
-        combos = itertools.product(per_mode, repeat=modes)
-        return np.asarray(list(combos), dtype=complex)
+        # row-major over modes, the last mode fastest (itertools.product order)
+        return per_mode[np.indices((len(per_mode),) * modes).reshape(modes, -1).T]
 
 
 def infimum_estimate(s: PolySymbol, grid: PhaseGrid,

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+import fockprop.propagate
 from fockprop.benchmarks import quartic_oscillator, standard_configs
 from fockprop.cli import (
     BudgetError,
@@ -226,6 +227,73 @@ class TestChernoffTable:
         assert [(r["parameter"], r["re"], r["im"], r["abs_error"]) for r in rows] == [
             (r.parameter, r.value.real, r.value.imag, r.abs_error) for r in records
         ]
+
+
+class TestChernoffSliceCount:
+    def test_one_quadrature_per_slice_count(self, tmp_path, monkeypatch):
+        # the contractivity check reuses the last N's slice
+        calls = []
+        original = fockprop.propagate.antiwick_quantize_function
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(fockprop.propagate, "antiwick_quantize_function", counting)
+        cfg = chernoff_config(Ns=[4, 8, 16])
+        report = run_config(cfg, tmp_path)
+        assert report["passed"]
+        assert len(calls) == len(cfg["Ns"])
+
+
+def evolve_vector_config(components):
+    return dict(
+        standard_configs()["evolve"], M=3,
+        initial={"type": "vector", "components": components},
+    )
+
+
+# configs that `run` cannot finish, so `validate` must refuse them:
+# (id, field the message names, config, message)
+RUN_PRECONDITIONS = [
+    ("chernoff-sweep-Q", "Q", chernoff_config(M=8, Q=8), r"rule order 8 < M \+ 1 = 9"),
+    ("evolve-chernoff-Q", "Q",
+     dict(standard_configs()["evolve"], M=8, method="chernoff", Q=6),
+     r"rule order 6 < M \+ 1 = 9"),
+    ("vector-length", "initial.components",
+     evolve_vector_config([[1.0, 0.0], [0.0, 0.0]]), "expected a list of 4"),
+    ("vector-non-finite", "initial.components[2]",
+     evolve_vector_config([[1.0, 0.0], [0.0, 0.0], [float("nan"), 0.0], [0.0, 0.0]]),
+     "finite"),
+    ("vector-unnormalized", "initial.components",
+     evolve_vector_config([[0.6, 0.0], [0.0, 0.6], [0.0, 0.0], [0.0, 0.0]]),
+     "norm .* is not 1 within 1e-8"),
+]
+
+
+class TestRunPreconditions:
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize(
+        "field,cfg,message", [case[1:] for case in RUN_PRECONDITIONS],
+        ids=[case[0] for case in RUN_PRECONDITIONS],
+    )
+    def test_exit_config_error(self, tmp_path, capsys, command, field, cfg, message):
+        with pytest.raises(ConfigError, match=message):
+            validate_config(cfg)
+        path = write_config(tmp_path, cfg)
+        out = tmp_path / "out"
+        argv = [command, str(path)] + (["--out-dir", str(out)] if command == "run" else [])
+        assert main(argv) == EXIT_CONFIG
+        assert f"config error: {field}:" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_slice_order_m_plus_one_is_valid(self):
+        assert validate_config(chernoff_config(M=7, Q=8))["Q"] == 8
+
+    def test_normalized_vector_runs(self, tmp_path):
+        cfg = evolve_vector_config([[0.6, 0.0], [0.0, 0.8], [0.0, 0.0], [0.0, 0.0]])
+        validate_config(cfg)
+        assert run_config(cfg, tmp_path)["passed"]
 
 
 class TestExitCodes:

@@ -274,3 +274,48 @@ class TestAntiwickFunction:
                 lambda p: np.ones(len(p)),
                 gauss_hermite_rule(1, 5),
             )
+
+
+def antiwick_quadrature_reference(basis, f, rule):
+    """Reference: sum_q W_q f(z_q) |z_q><z_q| over every node of the rule.
+
+    With normalized coherent vectors |z> = exp(-|z|^2/2) F_z and W_q the
+    rule weight times exp(|z_q|^2), each term is weights_q f(z_q) F F^H.
+    """
+    vals = f(rule.nodes)
+    cols = np.empty((basis.size, rule.count), dtype=complex)
+    for r, state in enumerate(basis.states):
+        col = np.ones(rule.count, dtype=complex)
+        for i, n in enumerate(state):
+            col *= rule.nodes[:, i] ** n / math.sqrt(math.factorial(n))
+        cols[r] = col
+    return (cols * (rule.weights * vals)) @ cols.conj().T
+
+
+def mixed_function(modes, seed):
+    """Seeded complex f: not a product over modes, not symmetric in z, z*."""
+    rng = np.random.default_rng(seed)
+    s = random_symbol(rng, modes, 3, 8)
+    c = rng.standard_normal(modes) + 1j * rng.standard_normal(modes)
+    return lambda p: s.evaluate(p) * np.exp(
+        -0.3 * (np.abs(p) ** 2).sum(axis=1) + 1j * (p @ c).real
+    )
+
+
+class TestAntiwickSumFactorization:
+    @pytest.mark.parametrize("d,M,Q", [(1, 6, 8), (2, 4, 6), (3, 2, 4)])
+    def test_matches_node_sum(self, d, M, Q):
+        basis = enumerate_basis(d, M)
+        rule = gauss_hermite_rule(d, Q)
+        f = mixed_function(d, seed=100 + d)
+        op = antiwick_quantize_function(basis, f, rule).mat
+        ref = antiwick_quadrature_reference(basis, f, rule)
+        assert np.abs(ref).max() > 0.1
+        assert np.abs(op - ref).max() <= 1e-13
+
+    def test_real_function_gives_hermitian_operator(self):
+        basis = enumerate_basis(3, 2)
+        rule = gauss_hermite_rule(3, 4)
+        f = mixed_function(3, seed=7)
+        op = antiwick_quantize_function(basis, lambda p: f(p).real, rule)
+        assert op.hermitian_defect() <= 1e-13

@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -245,6 +246,15 @@ class TestInfimumEstimate:
         grid = PhaseGrid(radius=1.0, radial=5, angular=4)
         with pytest.raises(ValueError):
             infimum_estimate(variable(1, 1), grid)
+
+    @pytest.mark.parametrize("modes", [1, 2, 3])
+    def test_grid_points_in_product_order(self, modes):
+        grid = PhaseGrid(radius=1.5, radial=3, angular=4)
+        per_mode = grid.mode_points()
+        expected = np.asarray(
+            list(itertools.product(per_mode, repeat=modes)), dtype=complex
+        )
+        assert np.array_equal(grid.points(modes), expected)
 
 
 class TestSerialization:
