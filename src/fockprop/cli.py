@@ -195,6 +195,9 @@ def _parse_symbol(cfg, modes: int) -> PolySymbol:
         raise ConfigError(f"symbol: {exc}") from exc
     if not all(map(cmath.isfinite, symbol.terms.values())):
         raise ConfigError("symbol: coefficients must be finite")
+    # every kind with a symbol evolves under it, which needs it real-valued
+    if not symbol.is_real():
+        raise ConfigError(f"symbol: {cfg['kind']} requires a real symbol")
     return symbol
 
 
@@ -227,6 +230,7 @@ def validate_config(cfg) -> dict:
         M = _get_int(cfg, "M", minimum=0)
         info["M"] = M
         info["basis_size"] = check_dense_budget(d, M)
+        info["dense_bytes"] = 16 * info["basis_size"] ** 2  # one complex matrix
 
     quadrature_kind = kind in ("lower-bound", "chernoff-sweep")
     if quadrature_kind or "Q" in cfg:
@@ -257,8 +261,7 @@ def validate_config(cfg) -> dict:
         if any(b <= a for a, b in zip(ns, ns[1:])):
             raise ConfigError("Ns: must be strictly ascending")
         _check_slice_order(Q, M)
-        if not _parse_symbol(cfg, d).is_real():
-            raise ConfigError("symbol: chernoff-sweep requires a real symbol")
+        _parse_symbol(cfg, d)
         _check_probe_tails(_parse_probes(cfg, d, expected=1), M)
         window = _get(cfg, "halving_window", list, required=False, default=[1.6, 2.4])
         if not _is_pair(window):
@@ -554,7 +557,7 @@ def _run_evolve(cfg, rng):
         "times": list(result.times),
         "norm_defects": list(result.norm_defects),
         "states": [
-            [[z.real, z.imag] for z in state] for state in result.states
+            np.column_stack((s.real, s.imag)).tolist() for s in result.states
         ],
         "basis": {"modes": d, "max_quanta": M},
         "route": route,
@@ -706,6 +709,7 @@ def main(argv=None) -> int:
                     f"basis size: binomial({info['M']}+{info['d']},{info['d']}) "
                     f"= {info['basis_size']}"
                 )
+                print(f"dense matrix: {info['dense_bytes'] / 1e6:.1f} MB")
             if "node_count" in info:
                 print(f"quadrature nodes: {info['Q']}^(2*{info['d']}) "
                       f"= {info['node_count']}")

@@ -75,7 +75,10 @@ class ExactPropagator:
     """exp(-i h t) for certified-Hermitian h, by eigendecomposition.
 
     The spectrum is computed once and shared across times; the result is
-    unitary to working precision.
+    unitary to working precision.  A matrix whose imaginary part is exactly
+    zero (such as the quantization of a symbol with real coefficients) is
+    diagonalized as a real symmetric one, and its real eigenvectors stay in
+    real arithmetic.
     """
 
     def __init__(self, h: OperatorMatrix):
@@ -85,16 +88,27 @@ class ExactPropagator:
                 f"matrix is not Hermitian: defect {defect:.3g} > {HERMITIAN_TOL:.0e}"
             )
         self.basis = h.basis
-        self.eigenvalues, self.eigenvectors = np.linalg.eigh(h.mat)
+        mat = h.mat if h.mat.imag.any() else h.mat.real
+        self.eigenvalues, self.eigenvectors = np.linalg.eigh(mat)
 
     def operator(self, t: float) -> OperatorMatrix:
-        phases = np.exp(-1j * self.eigenvalues * t)
-        mat = (self.eigenvectors * phases) @ self.eigenvectors.conj().T
+        v, angles = self.eigenvectors, self.eigenvalues * t
+        if np.iscomplexobj(v):
+            return OperatorMatrix(self.basis, (v * np.exp(-1j * angles)) @ v.conj().T)
+        # real V in real BLAS: a complex product would copy V to complex
+        mat = np.empty(v.shape, dtype=complex)
+        mat.real = (v * np.cos(angles)) @ v.T
+        mat.imag = -((v * np.sin(angles)) @ v.T)
         return OperatorMatrix(self.basis, mat)
 
     def apply(self, state: np.ndarray, t: float) -> np.ndarray:
-        coeffs = self.eigenvectors.conj().T @ np.asarray(state, dtype=complex)
-        return self.eigenvectors @ (np.exp(-1j * self.eigenvalues * t) * coeffs)
+        v, phases = self.eigenvectors, np.exp(-1j * self.eigenvalues * t)
+        state = np.asarray(state, dtype=complex)
+        if np.iscomplexobj(v):
+            return v @ (phases * (v.conj().T @ state))
+        # real V times the real and imaginary parts, for the same reason
+        coeffs = phases * (v.T @ state.real + 1j * (v.T @ state.imag))
+        return v @ coeffs.real + 1j * (v @ coeffs.imag)
 
 
 def exact_evolution(h: OperatorMatrix, t: float) -> OperatorMatrix:

@@ -255,7 +255,18 @@ def evolve_vector_config(components):
 
 # configs that `run` cannot finish, so `validate` must refuse them:
 # (id, field the message names, config, message)
+def with_imaginary_term(cfg):
+    """cfg with a z*_1 term of coefficient 0.5i, which makes its symbol not real."""
+    d = cfg["d"]
+    term = {"kstar": [1] + [0] * (d - 1), "k": [0] * d, "re": 0.0, "im": 0.5}
+    return dict(cfg, symbol=cfg["symbol"] + [term])
+
+
 RUN_PRECONDITIONS = [
+    ("galerkin-not-real", "symbol", with_imaginary_term(GALERKIN),
+     "galerkin-sweep requires a real symbol"),
+    ("evolve-not-real", "symbol", with_imaginary_term(standard_configs()["evolve"]),
+     "evolve requires a real symbol"),
     ("chernoff-sweep-Q", "Q", chernoff_config(M=8, Q=8), r"rule order 8 < M \+ 1 = 9"),
     ("evolve-chernoff-Q", "Q",
      dict(standard_configs()["evolve"], M=8, method="chernoff", Q=6),
@@ -338,6 +349,20 @@ class TestExitCodes:
         out = capsys.readouterr().out
         assert "= 66" in out
         assert "valid" in out
+
+    def test_validate_prints_dense_matrix_bytes(self, tmp_path, capsys, monkeypatch):
+        # 19,900 states pass the state budget; one dense matrix is 6.3 GB
+        def refuse(*args):
+            raise AssertionError("validate ran the config")
+
+        monkeypatch.setattr("fockprop.cli.run_config", refuse)
+        cfg = write_config(
+            tmp_path, {"schema": 1, "kind": "ccr-check", "d": 2, "M": 198}
+        )
+        assert main(["validate", str(cfg)]) == EXIT_OK
+        out = capsys.readouterr().out
+        megabytes = float(re.search(r"dense matrix: ([\d.]+) MB", out).group(1))
+        assert 6.3e3 <= megabytes < 6.4e3
 
 
 class TestDeterminism:

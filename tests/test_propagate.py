@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fockprop.benchmarks import quartic_oscillator
+from fockprop.benchmarks import coupled_quartic, quartic_oscillator
 from fockprop.fock import OperatorMatrix, enumerate_basis
 from fockprop.propagate import (
     ExactPropagator,
@@ -15,7 +15,7 @@ from fockprop.propagate import (
     records_to_csv,
     records_to_json,
 )
-from fockprop.quantize import gauss_hermite_rule, wick_quantize
+from fockprop.quantize import antiwick_quantize_poly, gauss_hermite_rule, wick_quantize
 from fockprop.symbols import PolySymbol, conj_variable, variable
 
 
@@ -65,6 +65,51 @@ class TestExactEvolution:
         np.testing.assert_allclose(
             prop.apply(psi, 0.8), prop.operator(0.8).mat @ psi, atol=1e-12
         )
+
+
+def complex_oracle(h, t):
+    """exp(-i h t) from a complex Hermitian eigh of h.mat, the reference path."""
+    lam, v = np.linalg.eigh(h.mat)
+    return (v * np.exp(-1j * lam * t)) @ v.conj().T
+
+
+REAL_HAMILTONIANS = {
+    "wick-coupled-quartic": lambda: wick_quantize(
+        enumerate_basis(3, 6), coupled_quartic(modes=3)),
+    "antiwick-quartic": lambda: antiwick_quantize_poly(
+        enumerate_basis(1, 10), quartic_oscillator()),
+}
+
+
+class TestRealArithmetic:
+    @pytest.mark.parametrize("name", sorted(REAL_HAMILTONIANS))
+    def test_real_h_has_real_eigenvectors(self, name):
+        h = REAL_HAMILTONIANS[name]()
+        assert not h.mat.imag.any()
+        assert ExactPropagator(h).eigenvectors.dtype == np.float64
+
+    @pytest.mark.parametrize("name", sorted(REAL_HAMILTONIANS))
+    def test_real_h_matches_complex_reference(self, name):
+        self.check_against_reference(REAL_HAMILTONIANS[name]())
+
+    def test_complex_hermitian_h_keeps_complex_path(self):
+        # i z* - i z is real-valued, but its Wick matrix has imaginary entries
+        a = zz() + 1j * conj_variable(1, 1) - 1j * variable(1, 1)
+        h = wick_quantize(enumerate_basis(1, 8), a)
+        assert h.mat.imag.any()
+        assert ExactPropagator(h).eigenvectors.dtype == np.complex128
+        self.check_against_reference(h)
+
+    @staticmethod
+    def check_against_reference(h):
+        prop = ExactPropagator(h)
+        rng = np.random.default_rng(5)
+        psi = rng.standard_normal(h.basis.size) + 1j * rng.standard_normal(h.basis.size)
+        psi /= np.linalg.norm(psi)
+        for t in (0.0, 0.3, 1.7):
+            ref = complex_oracle(h, t)
+            assert np.abs(prop.operator(t).mat - ref).max() <= 1e-12
+            assert np.abs(prop.apply(psi, t) - ref @ psi).max() <= 1e-12
 
 
 class TestChernoffPropagator:
