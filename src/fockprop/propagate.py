@@ -77,8 +77,8 @@ class ExactPropagator:
     The spectrum is computed once and shared across times; the result is
     unitary to working precision.  A matrix whose imaginary part is exactly
     zero (such as the quantization of a symbol with real coefficients) is
-    diagonalized as a real symmetric one, and its real eigenvectors stay in
-    real arithmetic.
+    diagonalized as a real symmetric one, and `apply` keeps its real
+    eigenvectors in real arithmetic.
     """
 
     def __init__(self, h: OperatorMatrix):
@@ -92,22 +92,18 @@ class ExactPropagator:
         self.eigenvalues, self.eigenvectors = np.linalg.eigh(mat)
 
     def operator(self, t: float) -> OperatorMatrix:
-        v, angles = self.eigenvectors, self.eigenvalues * t
-        if np.iscomplexobj(v):
-            return OperatorMatrix(self.basis, (v * np.exp(-1j * angles)) @ v.conj().T)
-        # real V in real BLAS: a complex product would copy V to complex
-        mat = np.empty(v.shape, dtype=complex)
-        mat.real = (v * np.cos(angles)) @ v.T
-        mat.imag = -((v * np.sin(angles)) @ v.T)
+        phases = np.exp(-1j * self.eigenvalues * t)
+        mat = (self.eigenvectors * phases) @ self.eigenvectors.conj().T
         return OperatorMatrix(self.basis, mat)
 
     def apply(self, state: np.ndarray, t: float) -> np.ndarray:
-        v, phases = self.eigenvectors, np.exp(-1j * self.eigenvalues * t)
+        # V meets the real and imaginary parts of the state separately, so a
+        # real V stays in real BLAS instead of being copied to complex per call
+        v, vh = self.eigenvectors, self.eigenvectors.conj().T
         state = np.asarray(state, dtype=complex)
-        if np.iscomplexobj(v):
-            return v @ (phases * (v.conj().T @ state))
-        # real V times the real and imaginary parts, for the same reason
-        coeffs = phases * (v.T @ state.real + 1j * (v.T @ state.imag))
+        coeffs = np.exp(-1j * self.eigenvalues * t) * (
+            vh @ state.real + 1j * (vh @ state.imag)
+        )
         return v @ coeffs.real + 1j * (v @ coeffs.imag)
 
 

@@ -253,8 +253,6 @@ def evolve_vector_config(components):
     )
 
 
-# configs that `run` cannot finish, so `validate` must refuse them:
-# (id, field the message names, config, message)
 def with_imaginary_term(cfg):
     """cfg with a z*_1 term of coefficient 0.5i, which makes its symbol not real."""
     d = cfg["d"]
@@ -262,6 +260,8 @@ def with_imaginary_term(cfg):
     return dict(cfg, symbol=cfg["symbol"] + [term])
 
 
+# configs that `run` cannot finish, so `validate` must refuse them:
+# (id, field the message names, config, message)
 RUN_PRECONDITIONS = [
     ("galerkin-not-real", "symbol", with_imaginary_term(GALERKIN),
      "galerkin-sweep requires a real symbol"),
