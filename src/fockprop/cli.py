@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import itertools
 import json
 import math
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +24,7 @@ import numpy as np
 from . import __version__
 from .fock import FockBasis, ccr_defect, check_coherent_tail, coherent_vector
 from .galerkin import (
+    DEFAULT_SLOPE_THRESHOLD,
     BudgetError,
     Flag,
     check_dense_budget,
@@ -45,6 +47,7 @@ from .quantize import (
     gauss_hermite_rule,
 )
 from .symbols import (
+    PHASE_GRID_MAX_POINTS,
     PhaseGrid,
     PolySymbol,
     antinormal_from_wick,
@@ -67,6 +70,16 @@ KINDS = (
     "evolve",
 )
 
+REPORT_FILES = ("report.json", "timings.json")
+# the files each kind writes besides REPORT_FILES; `outputs` may rename any
+ARTIFACTS = {
+    "chernoff-sweep": ("chernoff_table.csv", "chernoff_table.json"),
+    "galerkin-sweep": (
+        "galerkin_sweep.csv", "galerkin_fit.json", "galerkin_sweep_scaled.csv"
+    ),
+    "evolve": ("states.json",),
+}
+
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
@@ -83,14 +96,6 @@ class Check:
     passed: bool
     value: float
     tolerance: float
-
-    def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "value": self.value,
-            "tolerance": self.tolerance,
-        }
 
 
 # -- config access helpers ------------------------------------------------
@@ -124,6 +129,16 @@ def _get_int(cfg, name, required=True, default=None, minimum=None):
     return val
 
 
+def _get_counts(cfg, name) -> list[int]:
+    counts = _get(cfg, name, list)
+    # bool is an int subclass; json true is not a count
+    if not counts or not all(
+        isinstance(n, int) and not isinstance(n, bool) and n >= 1 for n in counts
+    ):
+        raise ConfigError(f"{name}: expected a non-empty list of positive integers")
+    return counts
+
+
 def _is_finite(val) -> bool:
     # json reads NaN, Infinity and integers past float range; refuse all three
     try:
@@ -154,29 +169,25 @@ def _parse_complex_vector(obj, modes: int, path: str) -> np.ndarray:
     return out
 
 
-def _parse_probes(cfg, modes: int, expected: int | None = None):
-    probes_raw = _get(cfg, "probes", list)
-    if not probes_raw:
+def _parse_probe(cfg, modes: int, max_quanta: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (alpha, beta) points of the one probe, their coherent tails checked."""
+    probes = _get(cfg, "probes", list)
+    if not probes:
         raise ConfigError("probes: must contain at least one (alpha, beta) pair")
-    if expected is not None and len(probes_raw) != expected:
-        raise ConfigError(f"probes: expected exactly {expected} probe pair(s)")
-    probes = []
-    for i, probe in enumerate(probes_raw):
-        if not isinstance(probe, dict):
-            raise ConfigError(f"probes[{i}]: expected an object")
-        a = _parse_complex_vector(probe.get("alpha"), modes, f"probes[{i}].alpha")
-        b = _parse_complex_vector(probe.get("beta"), modes, f"probes[{i}].beta")
-        probes.append((a, b))
-    return probes
-
-
-def _check_probe_tails(probes, max_quanta: int) -> None:
-    for i, (a, b) in enumerate(probes):
-        for side, point in (("alpha", a), ("beta", b)):
-            try:
-                check_coherent_tail(point, max_quanta)
-            except ValueError as exc:
-                raise ConfigError(f"probes[{i}].{side}: {exc}; raise M") from exc
+    if len(probes) != 1:
+        raise ConfigError("probes: expected exactly 1 probe pair(s)")
+    if not isinstance(probes[0], dict):
+        raise ConfigError("probes[0]: expected an object")
+    points = {
+        side: _parse_complex_vector(probes[0].get(side), modes, f"probes[0].{side}")
+        for side in ("alpha", "beta")
+    }
+    for side, point in points.items():
+        try:
+            check_coherent_tail(point, max_quanta)
+        except ValueError as exc:
+            raise ConfigError(f"probes[0].{side}: {exc}; raise M") from exc
+    return points["alpha"], points["beta"]
 
 
 def _check_slice_order(Q: int, M: int) -> None:
@@ -201,11 +212,45 @@ def _parse_symbol(cfg, modes: int) -> PolySymbol:
     return symbol
 
 
+def _parse_route(cfg) -> str:
+    route = _get(cfg, "route", str, required=False, default="wick")
+    if route not in ("wick", "antiwick"):
+        raise ConfigError("route: expected 'wick' or 'antiwick'")
+    return route
+
+
+def _parse_outputs(cfg, kind: str) -> dict[str, Path]:
+    """Each file `kind` writes -> its path relative to the out dir."""
+    outputs = _get(cfg, "outputs", dict, required=False, default={})
+    for key, value in outputs.items():
+        if not isinstance(value, str) or not value:
+            raise ConfigError(f"outputs.{key}: expected a relative file path")
+        if value.startswith("/") or ".." in Path(value).parts:
+            raise ConfigError(f"outputs.{key}: path must stay inside the out dir")
+        if not Path(value).parts:
+            raise ConfigError(f"outputs.{key}: path names the out dir itself")
+    names = REPORT_FILES + ARTIFACTS.get(kind, ())
+    paths = {name: Path(outputs.get(name, name)) for name in names}
+    # a file can neither share its path with another nor sit below it
+    for (a, path_a), (b, path_b) in itertools.combinations(paths.items(), 2):
+        if path_a.is_relative_to(path_b) or path_b.is_relative_to(path_a):
+            raise ConfigError(
+                f"outputs: {a} ({path_a}) and {b} ({path_b}) are one file "
+                "or one lies inside the other"
+            )
+    return paths
+
+
 # -- validation ------------------------------------------------------------
 
 
 def validate_config(cfg) -> dict:
-    """Schema and budget diagnostics; raises ConfigError / BudgetError."""
+    """Parse a config into the run it describes; raises ConfigError / BudgetError.
+
+    The result holds the size estimates `validate` prints and every field
+    of the config, parsed and with its default applied; a runner reads
+    nothing else.
+    """
     if not isinstance(cfg, dict):
         raise ConfigError(": config must be a JSON object")
     schema = _get_int(cfg, "schema")
@@ -214,16 +259,12 @@ def validate_config(cfg) -> dict:
     kind = _get(cfg, "kind", str)
     if kind not in KINDS:
         raise ConfigError(f"kind: unknown kind {kind!r}; expected one of {KINDS}")
-    _get_int(cfg, "seed", required=False, default=0, minimum=0)
-    outputs = _get(cfg, "outputs", dict, required=False, default={})
-    for key, value in outputs.items():
-        if not isinstance(value, str) or not value:
-            raise ConfigError(f"outputs.{key}: expected a relative file path")
-        if value.startswith("/") or ".." in Path(value).parts:
-            raise ConfigError(f"outputs.{key}: path must stay inside the out dir")
+    seed = _get_int(cfg, "seed", required=False, default=0, minimum=0)
+    outputs = _parse_outputs(cfg, kind)
 
     d = _get_int(cfg, "d", minimum=1)
-    info: dict = {"kind": kind, "d": d, "warnings": []}
+    info: dict = {"kind": kind, "seed": seed, "outputs": outputs, "d": d,
+                  "warnings": []}
 
     needs_quanta = kind != "symbol-roundtrip"
     if needs_quanta:
@@ -247,40 +288,46 @@ def validate_config(cfg) -> dict:
             )
 
     if kind == "symbol-roundtrip":
-        _get_int(cfg, "degree", required=False, default=6, minimum=0)
-        _get_int(cfg, "count", required=False, default=200, minimum=1)
+        info["degree"] = _get_int(cfg, "degree", required=False, default=6, minimum=0)
+        info["count"] = _get_int(cfg, "count", required=False, default=200, minimum=1)
     elif kind == "lower-bound":
-        _get_int(cfg, "degree", required=False, default=4, minimum=2)
-        _get_int(cfg, "count", required=False, default=50, minimum=1)
-        _get_number(cfg, "radius", required=False, default=6.0)
+        info["degree"] = _get_int(cfg, "degree", required=False, default=4, minimum=2)
+        info["count"] = _get_int(cfg, "count", required=False, default=50, minimum=1)
+        radius = _get_number(cfg, "radius", required=False, default=6.0)
+        grid = PhaseGrid(radius=float(radius))
+        points = len(grid.mode_points()) ** d
+        if points > PHASE_GRID_MAX_POINTS:
+            raise ConfigError(
+                f"d: lower-bound scans a phase grid of {points} points at d={d}; "
+                f"at most {PHASE_GRID_MAX_POINTS}"
+            )
+        info["grid"] = grid
     elif kind == "chernoff-sweep":
-        _get_number(cfg, "t")
-        ns = _get(cfg, "Ns", list)
-        if not ns or not all(isinstance(n, int) and n >= 1 for n in ns):
-            raise ConfigError("Ns: expected a non-empty list of positive integers")
+        info["t"] = float(_get_number(cfg, "t"))
+        ns = _get_counts(cfg, "Ns")
         if any(b <= a for a, b in zip(ns, ns[1:])):
             raise ConfigError("Ns: must be strictly ascending")
+        info["Ns"] = ns
         _check_slice_order(Q, M)
-        _parse_symbol(cfg, d)
-        _check_probe_tails(_parse_probes(cfg, d, expected=1), M)
+        info["symbol"] = _parse_symbol(cfg, d)
+        info["probe"] = _parse_probe(cfg, d, M)
         window = _get(cfg, "halving_window", list, required=False, default=[1.6, 2.4])
         if not _is_pair(window):
             raise ConfigError("halving_window: expected [low, high] finite numbers")
+        info["halving_window"] = window
     elif kind == "galerkin-sweep":
-        _get_number(cfg, "t")
-        _get_number(cfg, "slope_threshold", required=False)
-        flag = _get(cfg, "flag", list)
-        if not flag or not all(isinstance(n, int) and n >= 1 for n in flag):
-            raise ConfigError("flag: expected a non-empty list of positive integers")
+        t = info["t"] = float(_get_number(cfg, "t"))
+        info["slope_threshold"] = float(_get_number(
+            cfg, "slope_threshold", required=False, default=DEFAULT_SLOPE_THRESHOLD
+        ))
         try:
-            Flag(d_max=d, ns=tuple(flag))
+            info["flag"] = Flag(d_max=d, ns=tuple(_get_counts(cfg, "flag")))
         except ValueError as exc:
             raise ConfigError(f"flag: {exc}") from exc
-        _parse_symbol(cfg, d)
-        _check_probe_tails(_parse_probes(cfg, d, expected=1), M)
-        route = _get(cfg, "route", str, required=False, default="wick")
-        if route not in ("wick", "antiwick"):
-            raise ConfigError("route: expected 'wick' or 'antiwick'")
+        info["symbol"] = _parse_symbol(cfg, d)
+        info["probe"] = _parse_probe(cfg, d, M)
+        info["route"] = _parse_route(cfg)
+        info["t_scaling"] = None
         scaling = _get(cfg, "t_scaling", dict, required=False)
         if scaling is not None:
             factor = scaling.get("factor")
@@ -292,39 +339,53 @@ def validate_config(cfg) -> dict:
             base_t = scaling.get("base_t")
             if base_t is not None and not _is_finite(base_t):
                 raise ConfigError("t_scaling.base_t: expected a finite number")
+            # base may sit below the sweep's t: the scaling window targets the
+            # quadratic-in-t regime, which higher-order terms leave at large t
+            info["t_scaling"] = (
+                float(factor),
+                (float(window[0]), float(window[1])),
+                t if base_t is None else float(base_t),
+            )
     elif kind == "evolve":
         grid = _get(cfg, "t_grid", list)
         if not grid or not all(map(_is_finite, grid)):
             raise ConfigError("t_grid: expected a non-empty list of finite numbers")
-        _parse_symbol(cfg, d)
+        info["t_grid"] = [float(v) for v in grid]
+        info["symbol"] = _parse_symbol(cfg, d)
         initial = _get(cfg, "initial", dict)
         itype = initial.get("type")
         if itype not in ("vacuum", "coherent", "vector"):
             raise ConfigError(
                 "initial.type: expected 'vacuum', 'coherent' or 'vector'"
             )
-        if itype == "coherent":
-            _parse_complex_vector(initial.get("alpha"), d, "initial.alpha")
-        elif itype == "vector":
-            comp = _parse_complex_vector(
+        if itype == "vacuum":
+            psi0 = np.zeros(info["basis_size"], dtype=complex)
+            psi0[0] = 1.0
+        elif itype == "coherent":
+            alpha = _parse_complex_vector(initial.get("alpha"), d, "initial.alpha")
+            comp = coherent_vector(FockBasis(d, M), alpha).components
+            psi0 = comp / np.linalg.norm(comp)
+        else:
+            psi0 = _parse_complex_vector(
                 initial.get("components"), info["basis_size"], "initial.components"
             )
-            norm = float(np.linalg.norm(comp))
+            norm = float(np.linalg.norm(psi0))
             if abs(norm - 1.0) > 1e-8:
                 raise ConfigError(
                     f"initial.components: norm {norm!r} is not 1 within 1e-8"
                 )
-        route = _get(cfg, "route", str, required=False, default="wick")
-        if route not in ("wick", "antiwick"):
-            raise ConfigError("route: expected 'wick' or 'antiwick'")
+        info["initial"] = psi0
+        info["route"] = _parse_route(cfg)
         method = _get(cfg, "method", str, required=False, default="oracle")
         if method not in ("oracle", "chernoff"):
             raise ConfigError("method: expected 'oracle' or 'chernoff'")
+        info["method"] = method
+        info["slices"] = None  # the oracle does not slice
         if method == "chernoff":
-            _get_int(cfg, "slices", required=False, default=32, minimum=1)
-            Q = _get_int(cfg, "Q", required=False, default=None, minimum=1)
-            if Q is not None:
-                _check_slice_order(Q, M)
+            info["slices"] = _get_int(cfg, "slices", required=False, default=32,
+                                      minimum=1)
+            if "Q" in info:
+                _check_slice_order(info["Q"], M)
             if d > QUADRATURE_MAX_MODES:
                 raise ConfigError(
                     f"d: chernoff method needs quadrature, at most "
@@ -336,8 +397,8 @@ def validate_config(cfg) -> dict:
 # -- experiment kinds --------------------------------------------------------
 
 
-def _run_ccr(cfg, rng):
-    d, M = cfg["d"], cfg["M"]
+def _run_ccr(run, rng):
+    d, M = run["d"], run["M"]
     basis = FockBasis(d, M)
     worst_protected = 0.0
     pairs = {}
@@ -353,10 +414,8 @@ def _run_ccr(cfg, rng):
     return checks, metrics, {}, {}
 
 
-def _run_symbol_roundtrip(cfg, rng):
-    d = cfg["d"]
-    degree = cfg.get("degree", 6)
-    count = cfg.get("count", 200)
+def _run_symbol_roundtrip(run, rng):
+    d, degree, count = run["d"], run["degree"], run["count"]
     worst = 0.0
     degree_law_ok = True
     for _ in range(count):
@@ -376,21 +435,17 @@ def _run_symbol_roundtrip(cfg, rng):
     return checks, {"samples": count, "max_degree": degree}, {}, {}
 
 
-def _run_lower_bound(cfg, rng):
-    d, M, Q = cfg["d"], cfg["M"], cfg["Q"]
-    degree = cfg.get("degree", 4)
-    count = cfg.get("count", 50)
-    radius = float(cfg.get("radius", 6.0))
+def _run_lower_bound(run, rng):
+    d, M, Q, count = run["d"], run["M"], run["Q"], run["count"]
     basis = FockBasis(d, M)
     rule = gauss_hermite_rule(d, Q)
-    grid = PhaseGrid(radius=radius)
     worst_eig = math.inf
     worst_poly_dip = math.inf
     for _ in range(count):
-        s = random_symbol(rng, d, degree, n_terms=6, real=True)
+        s = random_symbol(rng, d, run["degree"], n_terms=6, real=True)
         # shift so the symbol is >= 0 on both the scan grid and the nodes;
         # positivity of the quadrature operator is certified at the nodes
-        shift = infimum_estimate(s, grid, extra_points=rule.nodes)
+        shift = infimum_estimate(s, run["grid"], extra_points=rule.nodes)
         shifted = s - shift
         op = antiwick_quantize_function(
             basis, lambda pts: shifted.evaluate(pts).real, rule
@@ -410,12 +465,10 @@ def _run_lower_bound(cfg, rng):
     return checks, metrics, {}, {}
 
 
-def _run_chernoff_sweep(cfg, rng):
-    d, M, Q, t = cfg["d"], cfg["M"], cfg["Q"], float(cfg["t"])
-    ns = cfg["Ns"]
-    window = cfg.get("halving_window", [1.6, 2.4])
-    symbol = from_term_list(cfg["symbol"], modes=d)
-    alpha, beta = _parse_probes(cfg, d, expected=1)[0]
+def _run_chernoff_sweep(run, rng):
+    d, M, Q, t, ns = run["d"], run["M"], run["Q"], run["t"], run["Ns"]
+    window, symbol = run["halving_window"], run["symbol"]
+    alpha, beta = run["probe"]
     basis = FockBasis(d, M)
     rule = gauss_hermite_rule(d, Q)
 
@@ -459,24 +512,17 @@ def _run_chernoff_sweep(cfg, rng):
     return checks, metrics, artifacts, timings
 
 
-def _run_galerkin_sweep(cfg, rng):
-    d, M, t = cfg["d"], cfg["M"], float(cfg["t"])
-    flag = Flag(d_max=d, ns=tuple(cfg["flag"]))
-    symbol = from_term_list(cfg["symbol"], modes=d)
-    alpha, beta = _parse_probes(cfg, d, expected=1)[0]
-    threshold = float(cfg.get("slope_threshold", -0.8))
-    route = cfg.get("route", "wick")
-    scaling = cfg.get("t_scaling")
+def _run_galerkin_sweep(run, rng):
+    t, symbol, threshold = run["t"], run["symbol"], run["slope_threshold"]
+    alpha, beta = run["probe"]
+    scaling = run["t_scaling"]
     times = [t]
     if scaling:
-        factor = float(scaling["factor"])
-        lo, hi = float(scaling["window"][0]), float(scaling["window"][1])
-        # base may sit below the sweep's t: the scaling window targets the
-        # quadratic-in-t regime, which higher-order terms leave at large t
-        base_t = float(scaling.get("base_t", t))
+        factor, (lo, hi), base_t = scaling
         times += [base_t, factor * base_t]
     sweeps = galerkin_sweeps(
-        symbol, flag, times, alpha, beta, M, route=route, threshold=threshold,
+        symbol, run["flag"], times, alpha, beta, run["M"], route=run["route"],
+        threshold=threshold,
     )
     records, fit = sweeps[0]
     errors = [r.abs_error for r in records]
@@ -523,32 +569,11 @@ def _run_galerkin_sweep(cfg, rng):
     return checks, metrics, artifacts, timings
 
 
-def _run_evolve(cfg, rng):
-    d, M = cfg["d"], cfg["M"]
-    symbol = from_term_list(cfg["symbol"], modes=d)
-    t_grid = [float(v) for v in cfg["t_grid"]]
-    route = cfg.get("route", "wick")
-    method = cfg.get("method", "oracle")
-    slices = cfg.get("slices", 32)
-    basis = FockBasis(d, M)
-
-    initial_cfg = cfg["initial"]
-    if initial_cfg["type"] == "vacuum":
-        psi0 = np.zeros(basis.size, dtype=complex)
-        psi0[0] = 1.0
-    elif initial_cfg["type"] == "coherent":
-        a = _parse_complex_vector(initial_cfg["alpha"], d, "initial.alpha")
-        comp = coherent_vector(basis, a).components
-        psi0 = comp / np.linalg.norm(comp)
-    else:
-        comp = _parse_complex_vector(
-            initial_cfg.get("components"), basis.size, "initial.components"
-        )
-        psi0 = comp
-
+def _run_evolve(run, rng):
+    d, M, symbol, method = run["d"], run["M"], run["symbol"], run["method"]
     result = schrodinger_evolve(
-        symbol, d, psi0, t_grid, M,
-        order=cfg.get("Q"), route=route, method=method, slices=slices,
+        symbol, d, run["initial"], run["t_grid"], M,
+        order=run.get("Q"), route=run["route"], method=method, slices=run["slices"],
     )
     tolerance = 1e-8 if method == "oracle" else 1e-3
     worst = max(result.norm_defects)
@@ -560,7 +585,7 @@ def _run_evolve(cfg, rng):
             np.column_stack((s.real, s.imag)).tolist() for s in result.states
         ],
         "basis": {"modes": d, "max_quanta": M},
-        "route": route,
+        "route": run["route"],
         "method": method,
     }
     artifacts = {"states.json": lambda path: _write_json(path, payload)}
@@ -581,36 +606,8 @@ _RUNNERS = {
 # -- report plumbing ---------------------------------------------------------
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, complex):
-        return [obj.real, obj.imag]
-    if isinstance(obj, float) and math.isnan(obj):
-        return "nan"
-    return obj
-
-
-def _dump_json(payload) -> str:
-    return json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n"
-
-
-def _atomic_write_text(path: Path, data: str) -> None:
-    tmp = path.with_name(path.name + f".tmp{os.getpid()}")
-    try:
-        tmp.write_text(data)
-        os.replace(tmp, path)
-    finally:
-        if tmp.exists():
-            tmp.unlink()
-
-
 def _write_json(path, payload) -> None:
-    Path(path).write_text(_dump_json(payload))
+    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _write_artifact(out_dir: Path, name: str, writer) -> None:
@@ -631,41 +628,35 @@ def run_config(cfg: dict, out_dir: Path) -> dict:
     Returns the report payload.  Raises ConfigError / BudgetError for
     invalid input; numerical check failures are reported, not raised.
     """
-    validate_config(cfg)
+    run = validate_config(cfg)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    rng = np.random.default_rng(cfg.get("seed", 0))
+    rng = np.random.default_rng(run["seed"])
 
     started = time.perf_counter()
-    checks, metrics, artifacts, timings = _RUNNERS[cfg["kind"]](cfg, rng)
+    checks, metrics, artifacts, timings = _RUNNERS[run["kind"]](run, rng)
     total = time.perf_counter() - started
 
-    outputs = cfg.get("outputs", {})
-
-    def _target(name: str) -> tuple[Path, str]:
-        mapped = outputs.get(name, name)
-        full = out_dir / mapped
-        full.parent.mkdir(parents=True, exist_ok=True)
-        return full.parent, full.name
+    def write(name: str, writer) -> None:
+        target = out_dir / run["outputs"][name]
+        target.parent.mkdir(parents=True, exist_ok=True)
+        _write_artifact(target.parent, target.name, writer)
 
     for name, writer in artifacts.items():
-        parent, fname = _target(name)
-        _write_artifact(parent, fname, writer)
+        write(name, writer)
 
     report = {
         "schema": SCHEMA_VERSION,
-        "kind": cfg["kind"],
+        "kind": run["kind"],
         "library_version": __version__,
         "config": cfg,
-        "checks": [c.to_json() for c in checks],
+        "checks": [asdict(c) for c in checks],
         "metrics": metrics,
         "passed": all(c.passed for c in checks),
     }
-    parent, fname = _target("report.json")
-    _atomic_write_text(parent / fname, _dump_json(report))
+    write("report.json", lambda path: _write_json(path, report))
     timings["total"] = total
-    parent, fname = _target("timings.json")
-    _atomic_write_text(parent / fname, _dump_json(timings))
+    write("timings.json", lambda path: _write_json(path, timings))
     return report
 
 

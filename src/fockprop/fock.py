@@ -19,6 +19,8 @@ import numpy as np
 from .symbols import as_phase_point
 
 HERMITIAN_TOL = 1e-12
+# largest quanta-cutoff tail of a coherent probe point (coherent_tail_bound)
+COHERENT_TAIL_TOL = 1e-10
 
 __all__ = [
     "FockBasis",
@@ -306,27 +308,25 @@ def coherent_vector(basis: FockBasis, alpha) -> CoherentVector:
     return CoherentVector(basis=basis, alpha=a, components=comp)
 
 
-def check_coherent_tail(point, max_quanta: int, tail_tol: float = 1e-10) -> None:
-    """Refuse a coherent point whose quanta-cutoff tail exceeds tail_tol.
+def check_coherent_tail(point, max_quanta: int) -> None:
+    """Refuse a coherent point whose quanta-cutoff tail exceeds COHERENT_TAIL_TOL.
 
     The ValueError names the cutoff that would suffice.
     """
     x = float((np.abs(np.asarray(point)) ** 2).sum())
     tail = coherent_tail_bound(x, max_quanta)
-    if tail > tail_tol:
-        needed = min_quanta_for_tail(x, tail_tol)
+    if tail > COHERENT_TAIL_TOL:
+        needed = min_quanta_for_tail(x, COHERENT_TAIL_TOL)
         raise ValueError(
-            f"coherent tail {tail:.3g} > {tail_tol:.3g} at |alpha|^2={x:.3g}; "
-            f"max_quanta >= {needed} required"
+            f"coherent tail {tail:.3g} > {COHERENT_TAIL_TOL:.3g} at "
+            f"|alpha|^2={x:.3g}; max_quanta >= {needed} required"
         )
 
 
-def checked_coherent_components(
-    basis: FockBasis, point, tail_tol: float = 1e-10
-) -> np.ndarray:
+def checked_coherent_components(basis: FockBasis, point) -> np.ndarray:
     """Components of the coherent vector at `point`, after check_coherent_tail."""
     a = as_phase_point(point, basis.modes)
-    check_coherent_tail(a, basis.max_quanta, tail_tol)
+    check_coherent_tail(a, basis.max_quanta)
     return coherent_vector(basis, a).components
 
 

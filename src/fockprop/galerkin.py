@@ -167,7 +167,6 @@ def galerkin_sweep(
     beta,
     max_quanta: int,
     route: str = "wick",
-    tail_tol: float = 1e-10,
     threshold: float = DEFAULT_SLOPE_THRESHOLD,
 ) -> tuple[list[ConvergenceRecord], RateFit]:
     """Coherent-element errors of the reduced evolutions vs the d_max reference.
@@ -177,8 +176,7 @@ def galerkin_sweep(
     and one decomposition per n.
     """
     return galerkin_sweeps(
-        w, flag, [t], alpha, beta, max_quanta, route=route,
-        tail_tol=tail_tol, threshold=threshold,
+        w, flag, [t], alpha, beta, max_quanta, route=route, threshold=threshold,
     )[0]
 
 
@@ -190,7 +188,6 @@ def galerkin_sweeps(
     beta,
     max_quanta: int,
     route: str = "wick",
-    tail_tol: float = 1e-10,
     threshold: float = DEFAULT_SLOPE_THRESHOLD,
 ) -> list[tuple[list[ConvergenceRecord], RateFit]]:
     """Galerkin sweeps at several times, one (records, fit) pair per time.
@@ -216,8 +213,8 @@ def galerkin_sweeps(
     def member(n: int) -> tuple[int, list[complex], float]:
         start = time.perf_counter()
         basis_n = FockBasis(n, max_quanta)
-        fa = checked_coherent_components(basis_n, a_full[:n], tail_tol)
-        fb = checked_coherent_components(basis_n, b_full[:n], tail_tol)
+        fa = checked_coherent_components(basis_n, a_full[:n])
+        fb = checked_coherent_components(basis_n, b_full[:n])
         prop = ExactPropagator(reduce_hamiltonian(w, n, basis_n, route=route))
         values = [complex(np.vdot(fa, prop.apply(fb, t))) for t in times]
         return n, values, time.perf_counter() - start

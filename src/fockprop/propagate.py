@@ -146,26 +146,24 @@ def chernoff_propagator(
     )
 
 
-def coherent_matrix_element(
-    op: OperatorMatrix, alpha, beta, tail_tol: float = 1e-10
-) -> complex:
+def coherent_matrix_element(op: OperatorMatrix, alpha, beta) -> complex:
     """<F_alpha, Op F_beta> in the unnormalized convention (identity -> e^{a*b}).
 
-    Refuses probe points whose quanta-cutoff tail exceeds tail_tol, with a
-    hint for the cutoff that would suffice.
+    Refuses probe points whose quanta-cutoff tail exceeds COHERENT_TAIL_TOL,
+    with a hint for the cutoff that would suffice.
     """
-    fa = checked_coherent_components(op.basis, alpha, tail_tol)
-    fb = checked_coherent_components(op.basis, beta, tail_tol)
+    fa = checked_coherent_components(op.basis, alpha)
+    fb = checked_coherent_components(op.basis, beta)
     return complex(np.vdot(fa, op.mat @ fb))
 
 
 def feynman_reference(
-    a: PolySymbol, t: float, alpha, beta, basis: FockBasis, tail_tol: float = 1e-10
+    a: PolySymbol, t: float, alpha, beta, basis: FockBasis
 ) -> complex:
     """Spectral-oracle coherent element of exp(-i A t), A the anti-Wick
     quantization of `a`: the generator the anti-normal slicing converges to."""
     oracle = ExactPropagator(antiwick_quantize_poly(basis, a))
-    return coherent_matrix_element(oracle.operator(t), alpha, beta, tail_tol=tail_tol)
+    return coherent_matrix_element(oracle.operator(t), alpha, beta)
 
 
 def feynman_record(
@@ -177,7 +175,6 @@ def feynman_record(
     basis: FockBasis,
     rule: QuadratureRule,
     reference: complex,
-    tail_tol: float = 1e-10,
     step: OperatorMatrix | None = None,
 ) -> ConvergenceRecord:
     """One table row: the n-slice propagator's coherent element vs `reference`.
@@ -187,7 +184,7 @@ def feynman_record(
     """
     start = time.perf_counter()
     prop = chernoff_propagator(a, SliceSchedule(t, n), basis, rule, step=step)
-    value = coherent_matrix_element(prop, alpha, beta, tail_tol=tail_tol)
+    value = coherent_matrix_element(prop, alpha, beta)
     return ConvergenceRecord(
         parameter=n,
         observable="coherent_element",
@@ -205,7 +202,6 @@ def feynman_convergence_table(
     beta,
     basis: FockBasis,
     rule: QuadratureRule,
-    tail_tol: float = 1e-10,
 ) -> list[ConvergenceRecord]:
     """Sliced-propagator coherent elements vs the spectral oracle, per N.
 
@@ -217,9 +213,9 @@ def feynman_convergence_table(
         raise ValueError("Ns must be strictly ascending")
     if not Ns:
         return []
-    reference = feynman_reference(a, t, alpha, beta, basis, tail_tol)
+    reference = feynman_reference(a, t, alpha, beta, basis)
     return [
-        feynman_record(a, t, n, alpha, beta, basis, rule, reference, tail_tol)
+        feynman_record(a, t, n, alpha, beta, basis, rule, reference)
         for n in Ns
     ]
 

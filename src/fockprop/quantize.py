@@ -166,7 +166,6 @@ def wick_symbol_deviation(
     op: OperatorMatrix,
     candidate: PolySymbol,
     probes: Sequence[tuple],
-    tail_tol: float = 1e-10,
 ) -> float:
     """Verify a candidate normal symbol against coherent matrix elements.
 
@@ -178,8 +177,8 @@ def wick_symbol_deviation(
     for left, right in probes:
         a = as_phase_point(left, basis.modes)
         b = as_phase_point(right, basis.modes)
-        fa = checked_coherent_components(basis, a, tail_tol)
-        fb = checked_coherent_components(basis, b, tail_tol)
+        fa = checked_coherent_components(basis, a)
+        fb = checked_coherent_components(basis, b)
         element = complex(np.vdot(fa, op.mat @ fb))
         measured = element * np.exp(-np.vdot(a, b))
         predicted = candidate.eval_bilinear(a, b)

@@ -361,6 +361,9 @@ def truncate_modes(s: PolySymbol, n: int) -> PolySymbol:
     )
 
 
+PHASE_GRID_MAX_POINTS = 5_000_000
+
+
 @dataclass(frozen=True)
 class PhaseGrid:
     """Uniform polar sampling grid, identical in every mode.
@@ -383,7 +386,7 @@ class PhaseGrid:
 
     def points(self, modes: int) -> np.ndarray:
         per_mode = self.mode_points()
-        if len(per_mode) ** modes > 5_000_000:
+        if len(per_mode) ** modes > PHASE_GRID_MAX_POINTS:
             raise ValueError(
                 f"grid would have {len(per_mode) ** modes} points; reduce counts"
             )
@@ -450,7 +453,11 @@ def from_term_list(data, modes: int | None = None) -> PolySymbol:
         if not isinstance(term, dict):
             raise ValueError(f"term {i} is not an object")
         for field in ("kstar", "k"):
-            if field not in term or not isinstance(term[field], list):
+            exponents = term.get(field)
+            # json integers only: a float or bool exponent would truncate to an int
+            if not isinstance(exponents, list) or not all(
+                isinstance(e, int) and not isinstance(e, bool) for e in exponents
+            ):
                 raise ValueError(f"term {i} missing integer list '{field}'")
         key = (tuple(term["kstar"]), tuple(term["k"]))
         c = complex(float(term.get("re", 0.0)), float(term.get("im", 0.0)))

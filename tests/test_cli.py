@@ -1,12 +1,17 @@
 import json
+import math
 import re
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fockprop.propagate
-from fockprop.benchmarks import quartic_oscillator, standard_configs
+from fockprop.benchmarks import coupled_quartic, quartic_oscillator, standard_configs
 from fockprop.cli import (
+    KINDS,
     BudgetError,
     ConfigError,
     EXIT_BUDGET,
@@ -279,6 +284,28 @@ RUN_PRECONDITIONS = [
     ("vector-unnormalized", "initial.components",
      evolve_vector_config([[0.6, 0.0], [0.0, 0.6], [0.0, 0.0], [0.0, 0.0]]),
      "norm .* is not 1 within 1e-8"),
+    # the default phase grid has 385 points per mode: 385^3 is over the limit
+    ("lower-bound-d3", "d",
+     {"schema": 1, "kind": "lower-bound", "d": 3, "M": 2, "Q": 3, "count": 1},
+     "phase grid of 57066625 points"),
+    ("outputs-out-dir", "outputs.report.json",
+     chernoff_config(outputs={"report.json": "./"}), "names the out dir itself"),
+    ("outputs-inside-report", "outputs",
+     chernoff_config(outputs={"chernoff_table.csv": "report.json/x"}),
+     "lies inside the other"),
+    ("outputs-nested", "outputs",
+     chernoff_config(outputs={"report.json": "a", "timings.json": "a/b"}),
+     "lies inside the other"),
+    ("outputs-same-file", "outputs",
+     chernoff_config(outputs={"chernoff_table.csv": "report.json"}), "are one file"),
+    ("float-exponents", "symbol",
+     chernoff_config(symbol=[{"kstar": [1.7], "k": [1.2], "re": 1.0, "im": 0.0}]),
+     "integer list 'kstar'"),
+    ("bool-exponent", "symbol",
+     chernoff_config(symbol=[{"kstar": [1], "k": [True], "re": 1.0, "im": 0.0}]),
+     "integer list 'k'"),
+    ("bool-Ns", "Ns", chernoff_config(Ns=[True, 2]), "positive integers"),
+    ("bool-flag", "flag", dict(GALERKIN, flag=[True, 2]), "positive integers"),
 ]
 
 
@@ -305,6 +332,79 @@ class TestRunPreconditions:
         cfg = evolve_vector_config([[0.6, 0.0], [0.0, 0.8], [0.0, 0.0], [0.0, 0.0]])
         validate_config(cfg)
         assert run_config(cfg, tmp_path)["passed"]
+
+
+OUTPUT_NAMES = ["report.json", "timings.json", "chernoff_table.csv", "states.json",
+                "galerkin_sweep.csv", "galerkin_fit.json", "galerkin_sweep_scaled.csv"]
+OUTPUT_PATHS = [".", "./", "a", "a/b", "report.json", "report.json/x", "x.json"]
+
+
+@st.composite
+def small_configs(draw):
+    """Small configs of every kind, valid or not, as a user might write them."""
+    kind = draw(st.sampled_from(KINDS))
+    d, M = draw(st.integers(1, 3)), draw(st.integers(0, 4))
+    cfg = {"schema": 1, "kind": kind, "d": d, "M": M, "seed": draw(st.integers(0, 3))}
+
+    def point():
+        re_1 = draw(st.sampled_from([0.0, 0.0, 0.01, 0.05]))
+        return [[re_1, 0.0]] + [[0.0, 0.0]] * (d - 1)
+
+    # the one-mode quartic oscillator has the wrong mode count for d > 1
+    symbol = to_term_list(draw(st.sampled_from([
+        coupled_quartic(modes=d), coupled_quartic(modes=d, coupling=0.0),
+        coupled_quartic(modes=d), quartic_oscillator(),
+    ])))
+    if kind in ("chernoff-sweep", "galerkin-sweep", "evolve"):
+        cfg["symbol"] = symbol
+    if kind in ("chernoff-sweep", "galerkin-sweep"):
+        cfg.update(t=0.3, probes=[{"alpha": point(), "beta": point()}])
+    if kind in ("lower-bound", "chernoff-sweep") or draw(st.booleans()):
+        cfg["Q"] = draw(st.integers(max(M, 1), M + 2))
+    if kind == "symbol-roundtrip":
+        cfg.update(degree=draw(st.integers(0, 4)), count=draw(st.integers(1, 3)))
+    elif kind == "lower-bound":
+        cfg.update(degree=draw(st.sampled_from([2, 4])), count=1)
+    elif kind == "chernoff-sweep":
+        cfg["Ns"] = draw(st.sampled_from([[1], [2, 4], [4, 8]]))
+    elif kind == "galerkin-sweep":
+        cfg["flag"] = sorted(draw(st.sets(st.integers(1, d + 1), min_size=1)))
+        cfg["route"] = draw(st.sampled_from(["wick", "antiwick"]))
+        if draw(st.booleans()):
+            cfg["t_scaling"] = {"base_t": 0.05, "factor": 2.0, "window": [2.5, 6.0]}
+    elif kind == "evolve":
+        cfg["t_grid"] = [0.0, 0.3]
+        cfg["initial"] = draw(st.sampled_from([
+            {"type": "vacuum"},
+            {"type": "coherent", "alpha": point()},
+            {"type": "vector",
+             "components": [[1.0, 0.0]] + [[0.0, 0.0]] * (math.comb(M + d, d) - 1)},
+        ]))
+        cfg["route"] = draw(st.sampled_from(["wick", "antiwick"]))
+        if draw(st.booleans()):
+            cfg.update(method="chernoff", slices=4)
+    if draw(st.booleans()):
+        cfg["outputs"] = draw(st.dictionaries(
+            st.sampled_from(OUTPUT_NAMES), st.sampled_from(OUTPUT_PATHS),
+            min_size=1, max_size=2,
+        ))
+    return cfg
+
+
+class TestValidateRunContract:
+    @given(small_configs())
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_validated_config_runs_to_a_report(self, cfg):
+        try:
+            validate_config(cfg)
+        except (ConfigError, BudgetError):
+            return
+        with tempfile.TemporaryDirectory() as root:
+            out = Path(root) / "out"
+            report = run_config(cfg, out)
+            assert report["kind"] == cfg["kind"]
+            # nothing lands beside the out dir, not even a temp file
+            assert list(Path(root).iterdir()) == [out]
 
 
 class TestExitCodes:
