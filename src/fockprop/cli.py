@@ -222,14 +222,20 @@ def _parse_route(cfg) -> str:
 def _parse_outputs(cfg, kind: str) -> dict[str, Path]:
     """Each file `kind` writes -> its path relative to the out dir."""
     outputs = _get(cfg, "outputs", dict, required=False, default={})
+    names = REPORT_FILES + ARTIFACTS.get(kind, ())
     for key, value in outputs.items():
+        if key not in names:
+            raise ConfigError(
+                f"outputs.{key}: {kind} writes no such file; expected one of {names}"
+            )
         if not isinstance(value, str) or not value:
             raise ConfigError(f"outputs.{key}: expected a relative file path")
+        if "\0" in value:
+            raise ConfigError(f"outputs.{key}: path contains a NUL character")
         if value.startswith("/") or ".." in Path(value).parts:
             raise ConfigError(f"outputs.{key}: path must stay inside the out dir")
         if not Path(value).parts:
             raise ConfigError(f"outputs.{key}: path names the out dir itself")
-    names = REPORT_FILES + ARTIFACTS.get(kind, ())
     paths = {name: Path(outputs.get(name, name)) for name in names}
     # a file can neither share its path with another nor sit below it
     for (a, path_a), (b, path_b) in itertools.combinations(paths.items(), 2):
@@ -500,11 +506,9 @@ def _run_chernoff_sweep(run, rng):
     }
     meta = {"d": d, "M": M, "Q": Q, "t": t, "symbol_digest": symbol_digest(symbol)}
     artifacts = {
-        "chernoff_table.csv": lambda path: records_to_csv(
-            records, path, include_timing=False
-        ),
+        "chernoff_table.csv": lambda path: records_to_csv(records, path),
         "chernoff_table.json": lambda path: _write_json(
-            path, records_to_json(records, meta, include_timing=False)
+            path, records_to_json(records, meta)
         ),
     }
     timings = {f"N={r.parameter}": r.seconds for r in records}

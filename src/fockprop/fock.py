@@ -155,9 +155,6 @@ class OperatorMatrix:
             raise ValueError("operands live on different bases")
         return OperatorMatrix(self.basis, self.mat @ other.mat)
 
-    def apply(self, vec: np.ndarray) -> np.ndarray:
-        return self.mat @ np.asarray(vec, dtype=complex)
-
 
 @dataclass(frozen=True)
 class CoherentVector:

@@ -119,11 +119,10 @@ class RateFit:
 def fit_rate(
     samples: Sequence[tuple[int, float]],
     threshold: float = DEFAULT_SLOPE_THRESHOLD,
-    floor: float = ERROR_FLOOR,
 ) -> RateFit:
-    """Fit log error ~ slope * log n + intercept over samples above the floor."""
+    """Fit log error ~ slope * log n + intercept over samples above ERROR_FLOOR."""
     samples = tuple((int(n), float(e)) for n, e in samples)
-    usable = [(n, e) for n, e in samples if e > floor]
+    usable = [(n, e) for n, e in samples if e > ERROR_FLOOR]
     if not usable:
         return RateFit(samples, None, None, None, exact=True, threshold=threshold)
     if len(usable) < 3:
@@ -227,7 +226,6 @@ def galerkin_sweeps(
         records = [
             ConvergenceRecord(
                 parameter=n,
-                observable="coherent_element",
                 value=values[k],
                 abs_error=abs(values[k] - ref),
                 seconds=seconds,
@@ -262,8 +260,9 @@ def schrodinger_evolve(
 
     method 'oracle' uses the spectral decomposition (norm drift <= 1e-8);
     'chernoff' multiplies `slices` anti-Wick slice operators per time (norm
-    drift reported, typically <= 1e-3 at adequate order).  t == 0 entries
-    return the initial state unchanged.
+    drift reported, typically <= 1e-3 at adequate order).  `route` picks
+    the oracle's Hamiltonian; the slices quantize the reduced symbol
+    anti-Wick either way.  t == 0 entries return the initial state unchanged.
     """
     basis_n = FockBasis(n, max_quanta)
     psi0 = np.asarray(initial, dtype=complex)
@@ -275,10 +274,9 @@ def schrodinger_evolve(
     if abs(nrm - 1.0) > 1e-6:
         raise ValueError(f"initial state norm {nrm} is not 1 within 1e-6")
 
-    h_n = reduce_hamiltonian(w, n, basis_n, route=route)
     states: list[np.ndarray] = []
     if method == "oracle":
-        prop = ExactPropagator(h_n)
+        prop = ExactPropagator(reduce_hamiltonian(w, n, basis_n, route=route))
         for t in t_grid:
             states.append(psi0.copy() if t == 0.0 else prop.apply(psi0, t))
     elif method == "chernoff":
@@ -304,13 +302,13 @@ def schrodinger_evolve(
     )
 
 
-def running_slopes(records: Sequence[ConvergenceRecord],
-                   floor: float = ERROR_FLOOR) -> list[float]:
-    """Least-squares log-log slope over the records seen so far (nan below 2 points)."""
+def running_slopes(records: Sequence[ConvergenceRecord]) -> list[float]:
+    """Least-squares log-log slope over the records seen so far above
+    ERROR_FLOOR (nan below 2 points)."""
     out = []
     pts: list[tuple[int, float]] = []
     for r in records:
-        if r.abs_error > floor:
+        if r.abs_error > ERROR_FLOOR:
             pts.append((r.parameter, r.abs_error))
         if len(pts) < 2:
             out.append(float("nan"))

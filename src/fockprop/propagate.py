@@ -62,10 +62,9 @@ class SliceSchedule:
 
 @dataclass(frozen=True)
 class ConvergenceRecord:
-    """One row of a convergence study: observable value vs a reference."""
+    """One row of a convergence study: a coherent element vs a reference."""
 
     parameter: int
-    observable: str
     value: complex
     abs_error: float
     seconds: float
@@ -187,7 +186,6 @@ def feynman_record(
     value = coherent_matrix_element(prop, alpha, beta)
     return ConvergenceRecord(
         parameter=n,
-        observable="coherent_element",
         value=value,
         abs_error=abs(value - reference),
         seconds=time.perf_counter() - start,
@@ -229,40 +227,27 @@ def halving_ratios(records: Sequence[ConvergenceRecord]) -> list[tuple[int, floa
     return out
 
 
-def records_to_csv(
-    records: Sequence[ConvergenceRecord], path, include_timing: bool = True
-) -> None:
-    """Columns N,re,im,abs_error[,seconds]; timing is optional because it is
-    the one non-deterministic column."""
+def records_to_csv(records: Sequence[ConvergenceRecord], path) -> None:
+    """Columns N,re,im,abs_error; wall time, the one non-deterministic
+    field, is left to timings.json."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        header = ["N", "re", "im", "abs_error"]
-        if include_timing:
-            header.append("seconds")
-        writer.writerow(header)
+        writer.writerow(["N", "re", "im", "abs_error"])
         for r in records:
-            row = [r.parameter, repr(r.value.real), repr(r.value.imag),
-                   repr(r.abs_error)]
-            if include_timing:
-                row.append(repr(r.seconds))
-            writer.writerow(row)
+            writer.writerow([r.parameter, repr(r.value.real), repr(r.value.imag),
+                             repr(r.abs_error)])
 
 
-def records_to_json(
-    records: Sequence[ConvergenceRecord],
-    metadata: dict,
-    include_timing: bool = True,
-) -> dict:
-    rows = []
-    for r in records:
-        row = {
+def records_to_json(records: Sequence[ConvergenceRecord], metadata: dict) -> dict:
+    """Rows of each record's coherent element and error, without wall time."""
+    rows = [
+        {
             "parameter": r.parameter,
-            "observable": r.observable,
+            "observable": "coherent_element",
             "re": r.value.real,
             "im": r.value.imag,
             "abs_error": r.abs_error,
         }
-        if include_timing:
-            row["seconds"] = r.seconds
-        rows.append(row)
+        for r in records
+    ]
     return {"metadata": dict(metadata), "records": rows}

@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .fock import FockBasis, OperatorMatrix, checked_coherent_components
-from .symbols import PolySymbol, as_phase_point, wick_from_antinormal
+from .symbols import PolySymbol, _product_grid, as_phase_point, wick_from_antinormal
 
 QUADRATURE_MAX_MODES = 3
 DEFAULT_ORDER_MARGIN = 2  # default rule order Q = M + 2
@@ -38,23 +38,31 @@ __all__ = [
 
 @dataclass(frozen=True)
 class QuadratureRule:
-    """Tensor Gauss-Hermite rule on d-mode phase space.
+    """Tensor Gauss-Hermite rule on d-mode phase space, stored as its factor.
 
-    nodes: (count, modes) complex points; weights: (count,) positive reals
-    absorbing exp(-|z|^2) and the 1/pi^d normalization, summing to 1.
-    axis_nodes / axis_weights are the underlying 1-D rule (order points).
+    Every mode carries the same 2-D factor rule: mode_nodes are the Q^2
+    points x_i + 1j x_j at index i * Q + j, mode_weights are w_i w_j / pi
+    (the 1-D Hermite weights absorb exp(-|z|^2)), summing to 1.  The full
+    rule is their product over modes, the last mode fastest: nodes
+    (count, modes) and weights (count,), formed on each access.
     """
 
     modes: int
     order: int
-    nodes: np.ndarray
-    weights: np.ndarray
-    axis_nodes: np.ndarray
-    axis_weights: np.ndarray
+    mode_nodes: np.ndarray
+    mode_weights: np.ndarray
 
     @property
     def count(self) -> int:
-        return len(self.weights)
+        return len(self.mode_weights) ** self.modes
+
+    @property
+    def nodes(self) -> np.ndarray:
+        return _product_grid(self.mode_nodes, self.modes)
+
+    @property
+    def weights(self) -> np.ndarray:
+        return _product_grid(self.mode_weights, self.modes).prod(axis=1)
 
 
 def gauss_hermite_rule(modes: int, order: int) -> QuadratureRule:
@@ -71,23 +79,11 @@ def gauss_hermite_rule(modes: int, order: int) -> QuadratureRule:
     if order < 1:
         raise ValueError("order must be >= 1")
     x, w = np.polynomial.hermite.hermgauss(order)
-    logw = np.log(w) - 0.5 * math.log(math.pi)
-
-    grids = np.meshgrid(*([np.arange(order)] * (2 * modes)), indexing="ij")
-    idx = np.stack([g.reshape(-1) for g in grids])  # (2d, order^(2d))
-    nodes = np.empty((idx.shape[1], modes), dtype=complex)
-    log_weights = np.zeros(idx.shape[1])
-    for m in range(modes):
-        re_i, im_i = idx[2 * m], idx[2 * m + 1]
-        nodes[:, m] = x[re_i] + 1j * x[im_i]
-        log_weights += logw[re_i] + logw[im_i]
     return QuadratureRule(
         modes=modes,
         order=order,
-        nodes=nodes,
-        weights=np.exp(log_weights),
-        axis_nodes=x,
-        axis_weights=w,
+        mode_nodes=(x[:, None] + 1j * x[None, :]).reshape(-1),
+        mode_weights=np.outer(w, w).reshape(-1) / math.pi,
     )
 
 
@@ -102,17 +98,14 @@ def rule_to_csv(rule: QuadratureRule, path) -> None:
 
     The full tensor rule is the product of these per-mode factors.
     """
-    x, w = rule.axis_nodes, rule.axis_weights
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["mode", "node_re", "node_im", "weight"])
         for mode in range(1, rule.modes + 1):
-            for i in range(rule.order):
-                for j in range(rule.order):
-                    writer.writerow(
-                        [mode, repr(float(x[i])), repr(float(x[j])),
-                         repr(float(w[i] * w[j] / math.pi))]
-                    )
+            for z, w in zip(rule.mode_nodes, rule.mode_weights):
+                writer.writerow(
+                    [mode, repr(float(z.real)), repr(float(z.imag)), repr(float(w))]
+                )
 
 
 def _falling_products(values: np.ndarray, exps: np.ndarray) -> np.ndarray:
@@ -226,9 +219,7 @@ def antiwick_quantize_function(
         raise ValueError("f is non-finite at a quadrature node")
 
     # one mode's factor rule: P = Q^2 points, index p = i * Q + j
-    x, w = rule.axis_nodes, rule.axis_weights
-    z = (x[:, None] + 1j * x[None, :]).reshape(-1)
-    sqrt_w = np.sqrt(np.outer(w, w).reshape(-1) / math.pi)
+    z, sqrt_w = rule.mode_nodes, np.sqrt(rule.mode_weights)
     levels = basis.max_quanta + 1
     steps = z[None, :] / np.sqrt(np.arange(1, levels))[:, None]
     phi = np.cumprod(np.vstack([sqrt_w[None, :], steps]), axis=0)

@@ -364,6 +364,12 @@ def truncate_modes(s: PolySymbol, n: int) -> PolySymbol:
 PHASE_GRID_MAX_POINTS = 5_000_000
 
 
+def _product_grid(per_mode: np.ndarray, modes: int) -> np.ndarray:
+    """(len^modes, modes) rows of every per-mode tuple, row-major over modes,
+    the last mode fastest (itertools.product order)."""
+    return per_mode[np.indices((len(per_mode),) * modes).reshape(modes, -1).T]
+
+
 @dataclass(frozen=True)
 class PhaseGrid:
     """Uniform polar sampling grid, identical in every mode.
@@ -390,8 +396,7 @@ class PhaseGrid:
             raise ValueError(
                 f"grid would have {len(per_mode) ** modes} points; reduce counts"
             )
-        # row-major over modes, the last mode fastest (itertools.product order)
-        return per_mode[np.indices((len(per_mode),) * modes).reshape(modes, -1).T]
+        return _product_grid(per_mode, modes)
 
 
 def infimum_estimate(s: PolySymbol, grid: PhaseGrid,
@@ -416,16 +421,15 @@ def random_symbol(
     max_degree: int,
     n_terms: int,
     real: bool = False,
-    coeff_scale: float = 1.0,
 ) -> PolySymbol:
-    """Random polynomial symbol with O(coeff_scale) complex coefficients."""
+    """Random polynomial symbol with O(1) complex coefficients."""
     acc: dict[TermKey, complex] = {}
     for _ in range(n_terms):
         deg = int(rng.integers(0, max_degree + 1))
         split = rng.multinomial(deg, np.full(2 * modes, 1.0 / (2 * modes)))
         key = (tuple(int(e) for e in split[:modes]),
                tuple(int(e) for e in split[modes:]))
-        c = coeff_scale * complex(rng.standard_normal(), rng.standard_normal())
+        c = complex(rng.standard_normal(), rng.standard_normal())
         acc[key] = acc.get(key, 0j) + c
     s = PolySymbol(modes, acc)
     if real:
@@ -452,6 +456,16 @@ def from_term_list(data, modes: int | None = None) -> PolySymbol:
     for i, term in enumerate(data):
         if not isinstance(term, dict):
             raise ValueError(f"term {i} is not an object")
+        # a misspelt key would otherwise leave its part at zero unnoticed
+        unknown = sorted(set(term) - {"kstar", "k", "re", "im"})
+        if unknown:
+            raise ValueError(
+                f"term {i} has unknown key(s) {unknown}; expected kstar, k, re, im"
+            )
+        for field in ("re", "im"):
+            value = term.get(field, 0.0)
+            if not isinstance(value, (int, float)) or isinstance(value, bool):
+                raise ValueError(f"term {i} '{field}' must be a number")
         for field in ("kstar", "k"):
             exponents = term.get(field)
             # json integers only: a float or bool exponent would truncate to an int

@@ -8,10 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fockprop.benchmarks
 import fockprop.propagate
 from fockprop.benchmarks import coupled_quartic, quartic_oscillator, standard_configs
 from fockprop.cli import (
+    ARTIFACTS,
     KINDS,
+    REPORT_FILES,
     BudgetError,
     ConfigError,
     EXIT_BUDGET,
@@ -306,6 +309,20 @@ RUN_PRECONDITIONS = [
      "integer list 'k'"),
     ("bool-Ns", "Ns", chernoff_config(Ns=[True, 2]), "positive integers"),
     ("bool-flag", "flag", dict(GALERKIN, flag=[True, 2]), "positive integers"),
+    ("string-coefficient", "symbol",
+     chernoff_config(symbol=[{"kstar": [1], "k": [1], "re": "0.5", "im": 0.0}]),
+     "'re' must be a number"),
+    ("bool-coefficient", "symbol",
+     chernoff_config(symbol=[{"kstar": [1], "k": [1], "re": 0.5, "im": False}]),
+     "'im' must be a number"),
+    # without the check the misspelt coefficient left H = 0, and the run passed
+    ("misspelt-term-key", "symbol",
+     dict(standard_configs()["evolve"], symbol=[{"kstar": [1], "k": [1], "Re": 1.0}]),
+     r"unknown key\(s\) \['Re'\]"),
+    ("outputs-nul", "outputs.report.json",
+     chernoff_config(outputs={"report.json": "a\u0000b"}), "NUL character"),
+    ("outputs-unknown-file", "outputs.report.jsn",
+     chernoff_config(outputs={"report.jsn": "r.json"}), "writes no such file"),
 ]
 
 
@@ -334,8 +351,6 @@ class TestRunPreconditions:
         assert run_config(cfg, tmp_path)["passed"]
 
 
-OUTPUT_NAMES = ["report.json", "timings.json", "chernoff_table.csv", "states.json",
-                "galerkin_sweep.csv", "galerkin_fit.json", "galerkin_sweep_scaled.csv"]
 OUTPUT_PATHS = [".", "./", "a", "a/b", "report.json", "report.json/x", "x.json"]
 
 
@@ -385,7 +400,9 @@ def small_configs(draw):
             cfg.update(method="chernoff", slices=4)
     if draw(st.booleans()):
         cfg["outputs"] = draw(st.dictionaries(
-            st.sampled_from(OUTPUT_NAMES), st.sampled_from(OUTPUT_PATHS),
+            # a name the kind does not write is refused; the preconditions cover it
+            st.sampled_from(REPORT_FILES + ARTIFACTS.get(kind, ())),
+            st.sampled_from(OUTPUT_PATHS),
             min_size=1, max_size=2,
         ))
     return cfg
@@ -483,12 +500,27 @@ class TestDeterminism:
         assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
 
 
+@pytest.fixture(scope="module")
+def generated_configs(tmp_path_factory):
+    out = tmp_path_factory.mktemp("configs")
+    assert fockprop.benchmarks.main([str(out)]) == 0
+    return out
+
+
 class TestShippedConfigs:
+    """`python -m fockprop.benchmarks DIR` writes the standard configs."""
+
+    def test_writes_one_file_per_config(self, generated_configs):
+        names = sorted(path.name for path in generated_configs.iterdir())
+        assert len(names) == 6
+        assert names == sorted(f"{name}.json" for name in standard_configs())
+
     @pytest.mark.parametrize("name", sorted(standard_configs()))
-    def test_matches_generator(self, name):
-        shipped = Path(__file__).resolve().parent.parent / "configs" / f"{name}.json"
+    def test_matches_generator(self, generated_configs, name):
+        text = (generated_configs / f"{name}.json").read_text()
         cfg = standard_configs()[name]
-        assert shipped.read_text() == json.dumps(cfg, indent=2, sort_keys=True) + "\n"
+        assert text == json.dumps(cfg, indent=2, sort_keys=True) + "\n"
+        validate_config(json.loads(text))
 
 
 class TestEvolveChernoffMethod:

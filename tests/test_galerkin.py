@@ -219,6 +219,20 @@ class TestGalerkinSweeps:
 
 
 class TestSchrodingerEvolve:
+    def test_chernoff_evolve_builds_no_hamiltonian(self, tmp_path, monkeypatch):
+        # the sliced method quantizes exp(-i f tau) and never reads H_n
+        cfg = dict(standard_configs()["evolve"], M=6, method="chernoff", slices=4)
+        calls = []
+        original = fockprop.galerkin.reduce_hamiltonian
+
+        def counting(w, n, basis_n, route="wick"):
+            calls.append(n)
+            return original(w, n, basis_n, route=route)
+
+        monkeypatch.setattr(fockprop.galerkin, "reduce_hamiltonian", counting)
+        run_config(cfg, tmp_path)
+        assert calls == []
+
     def test_vacuum_stationary_under_number_operator(self):
         basis = enumerate_basis(1, 8)
         psi0 = np.zeros(basis.size, dtype=complex)

@@ -259,15 +259,10 @@ class TestConvergenceTable:
             zz(), 0.3, [2, 4], np.array([0.2 + 0j]), np.array([0.1 + 0j]),
             basis, rule,
         )
-        with_timing = tmp_path / "a.csv"
-        records_to_csv(records, with_timing)
-        header = with_timing.read_text().splitlines()[0]
-        assert header == "N,re,im,abs_error,seconds"
+        path = tmp_path / "table.csv"
+        records_to_csv(records, path)
+        assert path.read_text().splitlines()[0] == "N,re,im,abs_error"
 
-        bare = tmp_path / "b.csv"
-        records_to_csv(records, bare, include_timing=False)
-        assert bare.read_text().splitlines()[0] == "N,re,im,abs_error"
-
-        payload = records_to_json(records, {"d": 1}, include_timing=False)
+        payload = records_to_json(records, {"d": 1})
         assert payload["metadata"] == {"d": 1}
         assert "seconds" not in payload["records"][0]

@@ -92,6 +92,45 @@ class TestQuadratureRule:
         per_mode = sum(float(r["weight"]) for r in rows if r["mode"] == "1")
         assert per_mode == pytest.approx(1.0, abs=1e-10)
 
+    @pytest.mark.parametrize("d,q,rows", [
+        (1, 3, [
+            "1,-1.224744871391589,-1.224744871391589,0.02777777777777779",
+            "1,-1.224744871391589,0.0,0.11111111111111113",
+            "1,-1.224744871391589,1.224744871391589,0.02777777777777779",
+            "1,0.0,-1.224744871391589,0.11111111111111113",
+            "1,0.0,0.0,0.44444444444444436",
+            "1,0.0,1.224744871391589,0.11111111111111113",
+            "1,1.224744871391589,-1.224744871391589,0.02777777777777779",
+            "1,1.224744871391589,0.0,0.11111111111111113",
+            "1,1.224744871391589,1.224744871391589,0.02777777777777779",
+        ]),
+        (2, 2, [
+            f"{mode},{re},{im},0.24999999999999997"
+            for mode in (1, 2)
+            for re in ("-0.7071067811865475", "0.7071067811865475")
+            for im in ("-0.7071067811865475", "0.7071067811865475")
+        ]),
+    ])
+    def test_csv_dump_exact_text(self, tmp_path, d, q, rows):
+        # plain float reprs, one factor rule per mode, csv's \r\n line ends
+        path = tmp_path / "rule.csv"
+        rule_to_csv(gauss_hermite_rule(d, q), path)
+        lines = ["mode,node_re,node_im,weight"] + rows
+        assert path.read_bytes() == "".join(f"{line}\r\n" for line in lines).encode()
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_nodes_match_meshgrid_construction(self, d):
+        # reference: index every real coordinate of the 2d-dim tensor grid
+        # (Re z_1, Im z_1, Re z_2, ...), the last coordinate fastest
+        order = 4
+        x, _ = np.polynomial.hermite.hermgauss(order)
+        grids = np.meshgrid(*([np.arange(order)] * (2 * d)), indexing="ij")
+        idx = np.stack([g.reshape(-1) for g in grids])
+        expected = np.empty((idx.shape[1], d), dtype=complex)
+        for m in range(d):
+            expected[:, m] = x[idx[2 * m]] + 1j * x[idx[2 * m + 1]]
+        assert np.array_equal(gauss_hermite_rule(d, order).nodes, expected)
+
 
 class TestWickQuantize:
     def test_number_operator(self):
