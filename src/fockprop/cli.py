@@ -41,13 +41,13 @@ from .propagate import (
     records_to_json,
 )
 from .quantize import (
-    QUADRATURE_MAX_MODES,
+    DEFAULT_ORDER_MARGIN,
     antiwick_quantize_function,
     antiwick_quantize_poly,
     gauss_hermite_rule,
 )
 from .symbols import (
-    PHASE_GRID_MAX_POINTS,
+    GRID_MAX_POINTS,
     PhaseGrid,
     PolySymbol,
     antinormal_from_wick,
@@ -60,7 +60,6 @@ from .symbols import (
 )
 
 SCHEMA_VERSION = 1
-NODE_SOFT_CAP = 1_000_000
 KINDS = (
     "ccr-check",
     "symbol-roundtrip",
@@ -190,12 +189,25 @@ def _parse_probe(cfg, modes: int, max_quanta: int) -> tuple[np.ndarray, np.ndarr
     return points["alpha"], points["beta"]
 
 
-def _check_slice_order(Q: int, M: int) -> None:
+def _check_grid(field: str, grid: str, points: int, d: int) -> None:
+    # one limit for every product grid a run evaluates a symbol on
+    if points > GRID_MAX_POINTS:
+        raise ConfigError(
+            f"{field}: {grid} of {points} points at d={d}; at most {GRID_MAX_POINTS}"
+        )
+
+
+def _check_nodes(Q: int, d: int) -> None:
+    _check_grid("Q", f"rule order {Q} gives a quadrature grid", Q ** (2 * d), d)
+
+
+def _check_slice_rule(Q: int, M: int, d: int) -> None:
     # a slice's rule resolves the identity on the basis only from Q = M + 1
     if Q < M + 1:
         raise ConfigError(
             f"Q: rule order {Q} < M + 1 = {M + 1}; chernoff slices need Q >= M + 1"
         )
+    _check_nodes(Q, d)
 
 
 def _parse_symbol(cfg, modes: int) -> PolySymbol:
@@ -269,8 +281,7 @@ def validate_config(cfg) -> dict:
     outputs = _parse_outputs(cfg, kind)
 
     d = _get_int(cfg, "d", minimum=1)
-    info: dict = {"kind": kind, "seed": seed, "outputs": outputs, "d": d,
-                  "warnings": []}
+    info: dict = {"kind": kind, "seed": seed, "outputs": outputs, "d": d}
 
     needs_quanta = kind != "symbol-roundtrip"
     if needs_quanta:
@@ -279,19 +290,8 @@ def validate_config(cfg) -> dict:
         info["basis_size"] = check_dense_budget(d, M)
         info["dense_bytes"] = 16 * info["basis_size"] ** 2  # one complex matrix
 
-    quadrature_kind = kind in ("lower-bound", "chernoff-sweep")
-    if quadrature_kind or "Q" in cfg:
-        Q = _get_int(cfg, "Q", minimum=1)
-        if quadrature_kind and d > QUADRATURE_MAX_MODES:
-            raise ConfigError(
-                f"d: quadrature route supports at most {QUADRATURE_MAX_MODES} modes"
-            )
-        info["Q"] = Q
-        info["node_count"] = Q ** (2 * d)
-        if info["node_count"] > NODE_SOFT_CAP:
-            info["warnings"].append(
-                f"node count {info['node_count']} exceeds soft cap {NODE_SOFT_CAP}"
-            )
+    if kind in ("lower-bound", "chernoff-sweep") or "Q" in cfg:
+        Q = info["Q"] = _get_int(cfg, "Q", minimum=1)
 
     if kind == "symbol-roundtrip":
         info["degree"] = _get_int(cfg, "degree", required=False, default=6, minimum=0)
@@ -301,12 +301,9 @@ def validate_config(cfg) -> dict:
         info["count"] = _get_int(cfg, "count", required=False, default=50, minimum=1)
         radius = _get_number(cfg, "radius", required=False, default=6.0)
         grid = PhaseGrid(radius=float(radius))
-        points = len(grid.mode_points()) ** d
-        if points > PHASE_GRID_MAX_POINTS:
-            raise ConfigError(
-                f"d: lower-bound scans a phase grid of {points} points at d={d}; "
-                f"at most {PHASE_GRID_MAX_POINTS}"
-            )
+        _check_nodes(Q, d)
+        _check_grid("d", "lower-bound scans a phase grid",
+                    len(grid.mode_points()) ** d, d)
         info["grid"] = grid
     elif kind == "chernoff-sweep":
         info["t"] = float(_get_number(cfg, "t"))
@@ -314,7 +311,7 @@ def validate_config(cfg) -> dict:
         if any(b <= a for a, b in zip(ns, ns[1:])):
             raise ConfigError("Ns: must be strictly ascending")
         info["Ns"] = ns
-        _check_slice_order(Q, M)
+        _check_slice_rule(Q, M, d)
         info["symbol"] = _parse_symbol(cfg, d)
         info["probe"] = _parse_probe(cfg, d, M)
         window = _get(cfg, "halving_window", list, required=False, default=[1.6, 2.4])
@@ -390,13 +387,10 @@ def validate_config(cfg) -> dict:
         if method == "chernoff":
             info["slices"] = _get_int(cfg, "slices", required=False, default=32,
                                       minimum=1)
-            if "Q" in info:
-                _check_slice_order(info["Q"], M)
-            if d > QUADRATURE_MAX_MODES:
-                raise ConfigError(
-                    f"d: chernoff method needs quadrature, at most "
-                    f"{QUADRATURE_MAX_MODES} modes"
-                )
+            # the default order is resolved here, so its grid is checked too
+            _check_slice_rule(info.setdefault("Q", M + DEFAULT_ORDER_MARGIN), M, d)
+    if "Q" in info:
+        info["node_count"] = info["Q"] ** (2 * d)
     return info
 
 
@@ -449,16 +443,14 @@ def _run_lower_bound(run, rng):
     worst_poly_dip = math.inf
     for _ in range(count):
         s = random_symbol(rng, d, run["degree"], n_terms=6, real=True)
+        values = s.evaluate_grid(rule.mode_nodes).real
         # shift so the symbol is >= 0 on both the scan grid and the nodes;
         # positivity of the quadrature operator is certified at the nodes
-        shift = infimum_estimate(s, run["grid"], extra_points=rule.nodes)
-        shifted = s - shift
-        op = antiwick_quantize_function(
-            basis, lambda pts: shifted.evaluate(pts).real, rule
-        )
+        shift = min(infimum_estimate(s, run["grid"]), float(values.min()))
+        op = antiwick_quantize_function(basis, values - shift, rule)
         worst_eig = min(worst_eig, float(np.linalg.eigvalsh(op.mat).min()))
         poly_min = float(
-            np.linalg.eigvalsh(antiwick_quantize_poly(basis, shifted).mat).min()
+            np.linalg.eigvalsh(antiwick_quantize_poly(basis, s - shift).mat).min()
         )
         worst_poly_dip = min(worst_poly_dip, poly_min)
     checks = [Check("antiwick-min-eigenvalue", worst_eig >= -1e-8, worst_eig, -1e-8)]
@@ -708,8 +700,6 @@ def main(argv=None) -> int:
             if "node_count" in info:
                 print(f"quadrature nodes: {info['Q']}^(2*{info['d']}) "
                       f"= {info['node_count']}")
-            for warning in info["warnings"]:
-                print(f"warning: {warning}")
             print("valid")
             return EXIT_OK
         report = run_config(cfg, Path(args.out_dir))

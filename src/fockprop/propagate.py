@@ -117,9 +117,8 @@ def chernoff_step(
     """One slice operator: anti-Wick quantization of exp(-i a tau)."""
     if not a.is_real():
         raise ValueError("slice symbol must be real")
-    return antiwick_quantize_function(
-        basis, lambda pts: np.exp(-1j * tau * a.evaluate(pts).real), rule
-    )
+    values = a.evaluate_grid(rule.mode_nodes).real
+    return antiwick_quantize_function(basis, np.exp(-1j * tau * values), rule)
 
 
 def chernoff_propagator(

@@ -14,20 +14,18 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .fock import FockBasis, OperatorMatrix, checked_coherent_components
-from .symbols import PolySymbol, _product_grid, as_phase_point, wick_from_antinormal
+from .symbols import PolySymbol, as_phase_point, wick_from_antinormal
 
-QUADRATURE_MAX_MODES = 3
 DEFAULT_ORDER_MARGIN = 2  # default rule order Q = M + 2
 
 __all__ = [
     "QuadratureRule",
     "gauss_hermite_rule",
-    "integrate",
     "rule_to_csv",
     "wick_quantize",
     "wick_symbol_deviation",
@@ -43,8 +41,9 @@ class QuadratureRule:
     Every mode carries the same 2-D factor rule: mode_nodes are the Q^2
     points x_i + 1j x_j at index i * Q + j, mode_weights are w_i w_j / pi
     (the 1-D Hermite weights absorb exp(-|z|^2)), summing to 1.  The full
-    rule is their product over modes, the last mode fastest: nodes
-    (count, modes) and weights (count,), formed on each access.
+    rule is their product over modes, the last mode fastest; it is never
+    formed: PolySymbol.evaluate_grid(mode_nodes) gives a symbol's values
+    on its nodes in that order.
     """
 
     modes: int
@@ -56,26 +55,17 @@ class QuadratureRule:
     def count(self) -> int:
         return len(self.mode_weights) ** self.modes
 
-    @property
-    def nodes(self) -> np.ndarray:
-        return _product_grid(self.mode_nodes, self.modes)
-
-    @property
-    def weights(self) -> np.ndarray:
-        return _product_grid(self.mode_weights, self.modes).prod(axis=1)
-
 
 def gauss_hermite_rule(modes: int, order: int) -> QuadratureRule:
     """Build the phase-space rule with `order` points per real coordinate.
 
-    Node count is order^(2*modes); modes > 3 is refused (use the exact
-    polynomial route or reduce modes first).  Exact for integrands of
+    The rule has order^(2*modes) nodes but stores only one mode's
+    order^2; a symbol evaluated on it through PolySymbol.evaluate_grid may
+    have at most symbols.GRID_MAX_POINTS nodes.  Exact for integrands of
     degree <= 2*order - 1 in each real coordinate.
     """
-    if not 1 <= modes <= QUADRATURE_MAX_MODES:
-        raise ValueError(
-            f"quadrature supports 1..{QUADRATURE_MAX_MODES} modes, got {modes}"
-        )
+    if modes < 1:
+        raise ValueError("modes must be >= 1")
     if order < 1:
         raise ValueError("order must be >= 1")
     x, w = np.polynomial.hermite.hermgauss(order)
@@ -85,12 +75,6 @@ def gauss_hermite_rule(modes: int, order: int) -> QuadratureRule:
         mode_nodes=(x[:, None] + 1j * x[None, :]).reshape(-1),
         mode_weights=np.outer(w, w).reshape(-1) / math.pi,
     )
-
-
-def integrate(rule: QuadratureRule, f: Callable[[np.ndarray], np.ndarray]) -> complex:
-    """Normalized Gaussian phase-space integral of f (batch-vectorized callable)."""
-    vals = np.asarray(f(rule.nodes))
-    return complex(np.sum(rule.weights * vals))
 
 
 def rule_to_csv(rule: QuadratureRule, path) -> None:
@@ -187,15 +171,15 @@ def antiwick_quantize_poly(basis: FockBasis, a: PolySymbol) -> OperatorMatrix:
 
 def antiwick_quantize_function(
     basis: FockBasis,
-    f: Callable[[np.ndarray], np.ndarray],
+    values: np.ndarray,
     rule: QuadratureRule,
 ) -> OperatorMatrix:
     """Anti-Wick operator of a phase-space function by coherent quadrature.
 
     Returns sum_q W_q f(z_q) |z_q><z_q| with normalized coherent vectors,
     W_q the rule weight with the projector normalization exp(|z_q|^2)
-    folded back in.  `f` must accept an (n, d) complex array and return
-    (n,) values, finite on every node.
+    folded back in.  `values` are f(z_q), one per node in the rule's order
+    (as PolySymbol.evaluate_grid(rule.mode_nodes) lists them), all finite.
 
     The rule is a tensor product of one 2-D factor per mode, and so is
     W_q |z_q><z_q|: its (n, m) entry is prod_i phi[n_i, p_i] conj
@@ -210,13 +194,13 @@ def antiwick_quantize_function(
         raise ValueError(
             f"rule has {rule.modes} modes but basis has {basis.modes}"
         )
-    vals = np.asarray(f(rule.nodes), dtype=complex)
+    vals = np.asarray(values, dtype=complex)
     if vals.shape != (rule.count,):
         raise ValueError(
-            f"f returned shape {vals.shape}, expected ({rule.count},)"
+            f"values have shape {vals.shape}, expected ({rule.count},)"
         )
     if not np.all(np.isfinite(vals)):
-        raise ValueError("f is non-finite at a quadrature node")
+        raise ValueError("values are non-finite at a quadrature node")
 
     # one mode's factor rule: P = Q^2 points, index p = i * Q + j
     z, sqrt_w = rule.mode_nodes, np.sqrt(rule.mode_weights)

@@ -24,6 +24,10 @@ import numpy as np
 
 TermKey = tuple[tuple[int, ...], tuple[int, ...]]
 
+# the most points of any product grid a symbol is evaluated on: quadrature
+# nodes and phase-grid scans alike
+GRID_MAX_POINTS = 5_000_000
+
 __all__ = [
     "PolySymbol",
     "variable",
@@ -249,6 +253,31 @@ class PolySymbol:
         out = self._eval_tables(ctabs, tabs, pts.shape[0])
         return complex(out[0]) if single else out
 
+    def evaluate_grid(self, mode_points) -> np.ndarray:
+        """Values on the product of `mode_points` over every mode, flattened
+        with the last mode fastest (the order of a QuadratureRule's nodes).
+
+        Sum factorization: the terms are grouped by their exponent pair in
+        the leading mode, and the grid values are sum_g t_g (x) v_g, with
+        t_g that pair's monomial on `mode_points` and v_g the group's
+        values on the remaining modes' grid, found the same way.  Neither
+        the (points, modes) array nor a per-point power table is formed.
+        """
+        z = np.asarray(mode_points, dtype=complex)
+        if z.ndim != 1:
+            raise ValueError(f"mode points have shape {z.shape}, expected (n,)")
+        count = len(z) ** self.modes
+        if count > GRID_MAX_POINTS:
+            raise ValueError(
+                f"grid would have {count} points; at most {GRID_MAX_POINTS}"
+            )
+        if self.is_zero():
+            return np.zeros(count, dtype=complex)
+        powers = np.ones((self.degree + 1, len(z)), dtype=complex)
+        for e in range(1, len(powers)):
+            powers[e] = powers[e - 1] * z
+        return _grid_values(list(self._terms.items()), 0, powers)
+
     def eval_bilinear(self, left, right) -> complex:
         """Evaluate with conjugated exponents taken at `left`, plain at `right`.
 
@@ -276,6 +305,24 @@ class PolySymbol:
             body = "·".join(factors) if factors else "1"
             bits.append(f"({c})·{body}")
         return " + ".join(bits)
+
+
+def _grid_values(terms: list, mode: int, powers: np.ndarray) -> np.ndarray:
+    # values of the (key, coeff) terms on the grid of modes mode.., whose
+    # exponents in the modes before `mode` all agree
+    groups: dict[tuple[int, int], list] = {}
+    for term in terms:
+        (ks, k), _ = term
+        groups.setdefault((ks[mode], k[mode]), []).append(term)
+    tables = np.stack([powers[a].conj() * powers[b] for a, b in groups], axis=1)
+    if mode == len(ks) - 1:
+        # the last mode's pair completes the key: one term per group
+        rest = np.array([[group[0][1]] for group in groups.values()])
+    else:
+        rest = np.stack(
+            [_grid_values(group, mode + 1, powers) for group in groups.values()]
+        )
+    return (tables @ rest).reshape(-1)
 
 
 def variable(modes: int, mode: int) -> PolySymbol:
@@ -361,15 +408,6 @@ def truncate_modes(s: PolySymbol, n: int) -> PolySymbol:
     )
 
 
-PHASE_GRID_MAX_POINTS = 5_000_000
-
-
-def _product_grid(per_mode: np.ndarray, modes: int) -> np.ndarray:
-    """(len^modes, modes) rows of every per-mode tuple, row-major over modes,
-    the last mode fastest (itertools.product order)."""
-    return per_mode[np.indices((len(per_mode),) * modes).reshape(modes, -1).T]
-
-
 @dataclass(frozen=True)
 class PhaseGrid:
     """Uniform polar sampling grid, identical in every mode.
@@ -390,29 +428,15 @@ class PhaseGrid:
             pts.extend(r * np.exp(1j * angles))
         return np.asarray(pts, dtype=complex)
 
-    def points(self, modes: int) -> np.ndarray:
-        per_mode = self.mode_points()
-        if len(per_mode) ** modes > PHASE_GRID_MAX_POINTS:
-            raise ValueError(
-                f"grid would have {len(per_mode) ** modes} points; reduce counts"
-            )
-        return _product_grid(per_mode, modes)
 
-
-def infimum_estimate(s: PolySymbol, grid: PhaseGrid,
-                     extra_points: np.ndarray | None = None) -> float:
+def infimum_estimate(s: PolySymbol, grid: PhaseGrid) -> float:
     """Minimum of Re s over the sampled grid: an UPPER bound on the infimum.
 
-    Requires a real symbol.  `extra_points` (n, d) are scanned in addition
-    to the grid (e.g. quadrature nodes whose sign matters downstream).
+    Requires a real symbol.
     """
     if not s.is_real():
         raise ValueError("infimum_estimate requires a real symbol")
-    values = s.evaluate(grid.points(s.modes)).real
-    best = float(values.min())
-    if extra_points is not None and len(extra_points):
-        best = min(best, float(s.evaluate(extra_points).real.min()))
-    return best
+    return float(s.evaluate_grid(grid.mode_points()).real.min())
 
 
 def random_symbol(
@@ -448,10 +472,8 @@ def to_term_list(s: PolySymbol) -> list[dict]:
 def from_term_list(data, modes: int | None = None) -> PolySymbol:
     if not isinstance(data, list):
         raise ValueError("symbol literal must be a list of terms")
-    if modes is None:
-        if not data:
-            raise ValueError("cannot infer mode count from an empty term list")
-        modes = len(data[0].get("kstar", []))
+    if modes is None and not data:
+        raise ValueError("cannot infer mode count from an empty term list")
     acc: dict[TermKey, complex] = {}
     for i, term in enumerate(data):
         if not isinstance(term, dict):
@@ -476,6 +498,8 @@ def from_term_list(data, modes: int | None = None) -> PolySymbol:
         key = (tuple(term["kstar"]), tuple(term["k"]))
         c = complex(float(term.get("re", 0.0)), float(term.get("im", 0.0)))
         acc[key] = acc.get(key, 0j) + c
+    if modes is None:
+        modes = len(data[0]["kstar"])
     return PolySymbol(modes, acc)
 
 

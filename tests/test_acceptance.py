@@ -100,11 +100,9 @@ def test_criterion_3_antiwick_lower_bound():
     worst = np.inf
     for _ in range(50):
         s = random_symbol(rng, d, max_degree=4, n_terms=6, real=True)
-        shift = infimum_estimate(s, grid, extra_points=rule.nodes)
-        shifted = s - shift
-        op = antiwick_quantize_function(
-            basis, lambda pts: shifted.evaluate(pts).real, rule
-        )
+        values = s.evaluate_grid(rule.mode_nodes).real
+        shift = min(infimum_estimate(s, grid), float(values.min()))
+        op = antiwick_quantize_function(basis, values - shift, rule)
         worst = min(worst, float(np.linalg.eigvalsh(op.mat).min()))
     elapsed = time.perf_counter() - start
     report(
@@ -119,7 +117,7 @@ def test_criterion_4_reproducing_kernel():
     for M in range(1, 13):
         basis = enumerate_basis(1, M)
         rule = gauss_hermite_rule(1, M + 2)
-        op = antiwick_quantize_function(basis, lambda p: np.ones(len(p)), rule)
+        op = antiwick_quantize_function(basis, np.ones(rule.count), rule)
         worst_resolution = max(
             worst_resolution, float(np.abs(op.mat - np.eye(basis.size)).max())
         )

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import fockprop.benchmarks
 import fockprop.propagate
+from fockprop import PolySymbol
 from fockprop.benchmarks import coupled_quartic, quartic_oscillator, standard_configs
 from fockprop.cli import (
     ARTIFACTS,
@@ -27,7 +28,7 @@ from fockprop.cli import (
     validate_config,
 )
 from fockprop.fock import FockBasis
-from fockprop.propagate import feynman_convergence_table
+from fockprop.propagate import chernoff_step, feynman_convergence_table
 from fockprop.quantize import gauss_hermite_rule
 from fockprop.symbols import from_term_list, to_term_list
 
@@ -54,6 +55,15 @@ def chernoff_config(**overrides):
     }
     cfg.update(overrides)
     return cfg
+
+
+def multimode_chernoff_config(d, **overrides):
+    """A chernoff sweep of the d-mode coupled quartic, probed near the vacuum."""
+    point = [[0.1, 0.0]] + [[0.0, 0.0]] * (d - 1)
+    return chernoff_config(
+        d=d, symbol=to_term_list(coupled_quartic(modes=d)),
+        probes=[{"alpha": point, "beta": point}], **overrides,
+    )
 
 
 class TestValidate:
@@ -144,20 +154,54 @@ class TestNonFiniteNumbers:
 
 
 class TestValidateD3Config:
-    def test_d3_q12_warns_over_soft_cap(self):
-        from fockprop.benchmarks import coupled_quartic
+    def test_d3_q12_under_grid_limit_is_valid(self, tmp_path, capsys):
+        cfg = multimode_chernoff_config(3, M=5, Q=12)
+        assert validate_config(cfg)["node_count"] == 2985984
+        assert main(["validate", str(write_config(tmp_path, cfg))]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "quadrature nodes: 12^(2*3) = 2985984" in out
+        assert "warning" not in out
 
-        cfg = chernoff_config(
-            d=3, M=5, Q=12,
-            symbol=to_term_list(coupled_quartic(modes=3)),
-            probes=[{
-                "alpha": [[0.1, 0.0], [0.0, 0.0], [0.0, 0.0]],
-                "beta": [[0.1, 0.0], [0.0, 0.0], [0.0, 0.0]],
-            }],
+
+class TestQuadratureAtFourModes:
+    def test_smallest_d4_sweep_runs_to_a_report(self, tmp_path):
+        # M = 4 is the least cutoff the probes' tails allow, Q = M + 1 the
+        # least slice order: 5^8 = 390,625 nodes
+        cfg = multimode_chernoff_config(4, M=4, Q=5, t=0.3, Ns=[4, 8])
+        assert validate_config(cfg)["node_count"] == 390625
+        report = run_config(cfg, tmp_path)
+        assert report["passed"]
+        assert json.loads((tmp_path / "report.json").read_text()) == report
+        assert (tmp_path / "chernoff_table.csv").exists()
+
+
+class TestGridEvaluation:
+    """Slices and lower bounds evaluate symbols on the product grid only."""
+
+    @pytest.fixture
+    def evaluate_calls(self, monkeypatch):
+        calls = []
+        original = PolySymbol.evaluate
+
+        def counting(self, points):
+            calls.append(1)
+            return original(self, points)
+
+        monkeypatch.setattr(PolySymbol, "evaluate", counting)
+        return calls
+
+    def test_chernoff_step(self, evaluate_calls):
+        chernoff_step(quartic_oscillator(), 0.05, FockBasis(1, 6), gauss_hermite_rule(1, 8))
+        assert evaluate_calls == []
+
+    def test_lower_bound_run(self, evaluate_calls, tmp_path):
+        report = run_config(
+            {"schema": 1, "kind": "lower-bound", "d": 2, "M": 3, "Q": 4,
+             "count": 3, "seed": 3},
+            tmp_path,
         )
-        info = validate_config(cfg)
-        assert info["node_count"] == 2985984
-        assert any("soft cap" in w for w in info["warnings"])
+        assert report["passed"]
+        assert evaluate_calls == []
 
 
 class TestRunKinds:
@@ -323,6 +367,15 @@ RUN_PRECONDITIONS = [
      chernoff_config(outputs={"report.json": "a\u0000b"}), "NUL character"),
     ("outputs-unknown-file", "outputs.report.jsn",
      chernoff_config(outputs={"report.jsn": "r.json"}), "writes no such file"),
+    # 14^6 = 7,529,536 nodes, over the one limit on every product grid
+    ("chernoff-sweep-grid", "Q", multimode_chernoff_config(3, M=8, Q=14),
+     "quadrature grid of 7529536 points"),
+    # no Q: the default order M + 2 = 16 gives 16^6 = 16,777,216 nodes
+    ("evolve-chernoff-default-Q-grid", "Q",
+     dict(standard_configs()["evolve"], d=3, M=14, method="chernoff",
+          symbol=to_term_list(coupled_quartic(modes=3)),
+          initial={"type": "vacuum"}),
+     "rule order 16 gives a quadrature grid of 16777216 points"),
 ]
 
 
@@ -344,6 +397,11 @@ class TestRunPreconditions:
 
     def test_slice_order_m_plus_one_is_valid(self):
         assert validate_config(chernoff_config(M=7, Q=8))["Q"] == 8
+
+    def test_evolve_chernoff_resolves_default_order(self):
+        cfg = dict(standard_configs()["evolve"], M=8, method="chernoff")
+        info = validate_config(cfg)
+        assert (info["Q"], info["node_count"]) == (10, 100)
 
     def test_normalized_vector_runs(self, tmp_path):
         cfg = evolve_vector_config([[0.6, 0.0], [0.0, 0.8], [0.0, 0.0], [0.0, 0.0]])

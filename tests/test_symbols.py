@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fockprop.symbols import (
+    GRID_MAX_POINTS,
     PhaseGrid,
     PolySymbol,
     antinormal_from_wick,
@@ -53,6 +54,41 @@ class TestEvaluate:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             zz().evaluate([1.0, 2.0])
+
+
+def product_node_list(mode_points, modes):
+    """Reference: every tuple of mode points as an explicit (n, modes) array,
+    in itertools.product order (the last mode fastest)."""
+    return np.asarray(list(itertools.product(mode_points, repeat=modes)), dtype=complex)
+
+
+class TestEvaluateGrid:
+    @pytest.mark.parametrize("modes", [1, 2, 3, 4])
+    @pytest.mark.parametrize("kind", ["zero", "constant", "random"])
+    def test_matches_evaluate_on_node_list(self, modes, kind):
+        rng = np.random.default_rng(500 + modes)
+        s = {
+            "zero": PolySymbol.zero(modes),
+            "constant": PolySymbol.constant(modes, 0.7 - 1.3j),
+            "random": random_symbol(rng, modes, 6, 20),
+        }[kind]
+        z = rng.standard_normal(5) + 1j * rng.standard_normal(5)
+        expected = s.evaluate(product_node_list(z, modes))
+        got = s.evaluate_grid(z)
+        assert got.shape == (5**modes,)
+        scale = max(np.abs(expected).max(), 1e-300)
+        assert np.abs(got - expected).max() <= 1e-14 * scale
+        if kind == "zero":
+            assert not got.any()
+
+    def test_refuses_grid_over_limit(self):
+        per_mode = int(GRID_MAX_POINTS ** 0.5) + 1
+        with pytest.raises(ValueError, match="at most 5000000"):
+            zz(2).evaluate_grid(np.zeros(per_mode))
+
+    def test_rejects_point_array(self):
+        with pytest.raises(ValueError):
+            zz(2).evaluate_grid(np.zeros((3, 2)))
 
 
 class TestIsReal:
@@ -254,7 +290,9 @@ class TestInfimumEstimate:
         expected = np.asarray(
             list(itertools.product(per_mode, repeat=modes)), dtype=complex
         )
-        assert np.array_equal(grid.points(modes), expected)
+        for m in range(modes):
+            got = variable(modes, m + 1).evaluate_grid(per_mode)
+            assert np.array_equal(got, expected[:, m])
 
 
 class TestSerialization:
@@ -282,6 +320,15 @@ class TestSerialization:
             from_term_list([{"k": [1]}], modes=1)
         with pytest.raises(ValueError):
             from_term_list("not a list")
+
+    @pytest.mark.parametrize("data,message", [
+        ([1], "term 0 is not an object"),
+        ([{"kstar": 5, "k": [1]}], "integer list 'kstar'"),
+    ])
+    def test_inferred_modes_checks_terms_first(self, data, message):
+        # with modes=None the mode count is read only from a checked term
+        with pytest.raises(ValueError, match=message):
+            from_term_list(data)
 
 
 class TestAlgebraBasics:
