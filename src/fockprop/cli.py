@@ -290,7 +290,9 @@ def validate_config(cfg) -> dict:
         info["basis_size"] = check_dense_budget(d, M)
         info["dense_bytes"] = 16 * info["basis_size"] ** 2  # one complex matrix
 
-    if kind in ("lower-bound", "chernoff-sweep") or "Q" in cfg:
+    # only the kinds that slice or integrate read a rule order; the others
+    # ignore Q like any other unused key
+    if kind in ("lower-bound", "chernoff-sweep"):
         Q = info["Q"] = _get_int(cfg, "Q", minimum=1)
 
     if kind == "symbol-roundtrip":
@@ -388,7 +390,9 @@ def validate_config(cfg) -> dict:
             info["slices"] = _get_int(cfg, "slices", required=False, default=32,
                                       minimum=1)
             # the default order is resolved here, so its grid is checked too
-            _check_slice_rule(info.setdefault("Q", M + DEFAULT_ORDER_MARGIN), M, d)
+            info["Q"] = _get_int(cfg, "Q", required=False,
+                                 default=M + DEFAULT_ORDER_MARGIN, minimum=1)
+            _check_slice_rule(info["Q"], M, d)
     if "Q" in info:
         info["node_count"] = info["Q"] ** (2 * d)
     return info
@@ -584,7 +588,9 @@ def _run_evolve(run, rng):
         "route": run["route"],
         "method": method,
     }
-    artifacts = {"states.json": lambda path: _write_json(path, payload)}
+    # unindented: json's C encoder does not indent, and this is the one
+    # large file a run writes
+    artifacts = {"states.json": lambda path: _write_json(path, payload, indent=None)}
     metrics = {"symbol_digest": symbol_digest(symbol)}
     return checks, metrics, artifacts, {}
 
@@ -602,8 +608,8 @@ _RUNNERS = {
 # -- report plumbing ---------------------------------------------------------
 
 
-def _write_json(path, payload) -> None:
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+def _write_json(path, payload, indent: int | None = 2) -> None:
+    Path(path).write_text(json.dumps(payload, indent=indent, sort_keys=True) + "\n")
 
 
 def _write_artifact(out_dir: Path, name: str, writer) -> None:

@@ -92,8 +92,12 @@ class FockBasis:
         (the combinatorial number system, Knuth TAOCP 4A 7.2.1.3).
         """
         occ = np.asarray(occ, dtype=np.int64)
-        suffix = np.cumsum(occ[..., ::-1], axis=-1)[..., ::-1]
-        return self._below[np.arange(self.modes, 0, -1), suffix].sum(axis=-1)
+        index = np.zeros(occ.shape[:-1], dtype=np.int64)
+        suffix = np.zeros(occ.shape[:-1], dtype=np.int64)
+        for m in range(1, self.modes + 1):
+            suffix += occ[..., self.modes - m]
+            index += self._below[m, suffix]
+        return index
 
     def index(self, state: Sequence[int]) -> int:
         """Basis index of one state; KeyError for a state outside the basis."""
@@ -144,7 +148,10 @@ class OperatorMatrix:
         object.__setattr__(self, "mat", mat)
 
     def hermitian_defect(self) -> float:
-        return float(np.abs(self.mat - self.mat.conj().T).max())
+        # a matrix with no imaginary entry gives the same value from its
+        # real part, without the complex temporaries
+        m = self.mat if self.mat.imag.any() else self.mat.real
+        return float(np.abs(m - m.conj().T).max())
 
     @property
     def is_hermitian(self) -> bool:

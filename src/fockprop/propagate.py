@@ -10,6 +10,7 @@ the anti-Wick quantization of f.
 from __future__ import annotations
 
 import csv
+import math
 import time
 from dataclasses import dataclass
 from typing import Sequence
@@ -74,10 +75,13 @@ class ExactPropagator:
     """exp(-i h t) for certified-Hermitian h, by eigendecomposition.
 
     The spectrum is computed once and shared across times; the result is
-    unitary to working precision.  A matrix whose imaginary part is exactly
-    zero (such as the quantization of a symbol with real coefficients) is
-    diagonalized as a real symmetric one, and `apply` keeps its real
-    eigenvectors in real arithmetic.
+    unitary to working precision.  h is split into the symmetry sectors
+    its entries leave invariant (_sectors), and each sector is
+    diagonalized and applied on its own; `sectors` holds one (states,
+    eigenvalues, eigenvectors) triple per sector.  A matrix whose
+    imaginary part is exactly zero (such as the quantization of a symbol
+    with real coefficients) is diagonalized as a real symmetric one, and
+    `apply` keeps its real eigenvectors in real arithmetic.
     """
 
     def __init__(self, h: OperatorMatrix):
@@ -88,22 +92,64 @@ class ExactPropagator:
             )
         self.basis = h.basis
         mat = h.mat if h.mat.imag.any() else h.mat.real
-        self.eigenvalues, self.eigenvectors = np.linalg.eigh(mat)
+        sectors = _sectors(h.basis, mat)
+        # a single sector is the whole basis in order: decompose mat uncopied
+        self.sectors = [
+            (idx, *np.linalg.eigh(mat[np.ix_(idx, idx)] if len(sectors) > 1 else mat))
+            for idx in sectors
+        ]
 
     def operator(self, t: float) -> OperatorMatrix:
-        phases = np.exp(-1j * self.eigenvalues * t)
-        mat = (self.eigenvectors * phases) @ self.eigenvectors.conj().T
+        blocks = (
+            (idx, (v * np.exp(-1j * lam * t)) @ v.conj().T)
+            for idx, lam, v in self.sectors
+        )
+        if len(self.sectors) == 1:
+            return OperatorMatrix(self.basis, next(blocks)[1])
+        mat = np.zeros((self.basis.size, self.basis.size), dtype=complex)
+        for idx, block in blocks:
+            mat[np.ix_(idx, idx)] = block
         return OperatorMatrix(self.basis, mat)
 
     def apply(self, state: np.ndarray, t: float) -> np.ndarray:
-        # V meets the real and imaginary parts of the state separately, so a
-        # real V stays in real BLAS instead of being copied to complex per call
-        v, vh = self.eigenvectors, self.eigenvectors.conj().T
         state = np.asarray(state, dtype=complex)
-        coeffs = np.exp(-1j * self.eigenvalues * t) * (
-            vh @ state.real + 1j * (vh @ state.imag)
-        )
-        return v @ coeffs.real + 1j * (v @ coeffs.imag)
+        out = np.empty_like(state)
+        for idx, lam, v in self.sectors:
+            # V meets the real and imaginary parts of the state separately,
+            # so a real V stays in real BLAS instead of being copied to
+            # complex per call
+            vh, part = v.conj().T, state[idx]
+            coeffs = np.exp(-1j * lam * t) * (vh @ part.real + 1j * (vh @ part.imag))
+            out[idx] = v @ coeffs.real + 1j * (v @ coeffs.imag)
+        return out
+
+
+def _sectors(basis: FockBasis, mat: np.ndarray) -> list[np.ndarray]:
+    """State indices of each symmetry sector of `mat`, read off its entries.
+
+    With N the total quanta and g the gcd of |N_r - N_c| over the nonzero
+    entries (r, c), mat couples only states of equal N mod g, or of equal
+    N when g = 0 (mat conserves quanta); those classes are the sectors,
+    empty ones left out.  g = 1 gives the whole basis as one sector.
+    """
+    quanta, top = basis.total_quanta, basis.max_quanta
+    # the basis is graded, so each quanta shell is a contiguous index range
+    edges = np.searchsorted(quanta, np.arange(top + 2))
+    shell = [slice(edges[n], edges[n + 1]) for n in range(top + 1)]
+    g = 0
+    for gap in range(1, top + 1):
+        if g and gap % g == 0:
+            continue
+        if any(
+            mat[shell[n], shell[n + gap]].any() or mat[shell[n + gap], shell[n]].any()
+            for n in range(top + 1 - gap)
+        ):
+            g = math.gcd(g, gap)
+            if g == 1:
+                return [np.arange(basis.size)]
+    labels = quanta % g if g else quanta
+    sectors = (np.flatnonzero(labels == s) for s in range(g or top + 1))
+    return [idx for idx in sectors if len(idx)]
 
 
 def exact_evolution(h: OperatorMatrix, t: float) -> OperatorMatrix:

@@ -92,50 +92,62 @@ def rule_to_csv(rule: QuadratureRule, path) -> None:
                 )
 
 
-def _falling_products(values: np.ndarray, exps: np.ndarray) -> np.ndarray:
-    # prod over modes of n_i (n_i - 1) ... (n_i - k_i + 1); exact in doubles
-    # for the small exponents used here.
-    out = np.ones(values.shape[0])
-    kmax = int(exps.max()) if exps.size else 0
-    for j in range(kmax):
-        factor = np.where(j < exps[None, :], values - j, 1)
-        out *= factor.prod(axis=1)
-    return out
-
-
 def wick_quantize(basis: FockBasis, w: PolySymbol) -> OperatorMatrix:
     """Normal-ordered operator of a polynomial symbol (creators to the left).
 
     Exact on the truncated basis: annihilators act first, so no
     intermediate state leaves the cutoff.  Hermitian iff the symbol is
-    real.  Each term is placed with one vectorized `basis.rank` call over
-    its target occupations; a term adds to each entry at most once, so
-    the matrix does not depend on how rows are looked up.
+    real.  The terms are placed in one vectorized pass (_wick_fill), in
+    blocks of at most `basis.size` terms so that no (terms, states) table
+    outgrows the matrix; entries accumulate in term order.
     """
     if w.modes != basis.modes:
         raise ValueError(
             f"symbol has {w.modes} modes but basis has {basis.modes}"
         )
-    occ = basis.occupations
+    # a term that lowers or raises by more than M quanta maps no state
+    # of the basis into it
+    terms = [
+        (kstar, k, coeff) for (kstar, k), coeff in w.terms.items()
+        if max(sum(kstar), sum(k)) <= basis.max_quanta
+    ]
     mat = np.zeros((basis.size, basis.size), dtype=complex)
-    for (kstar, k), coeff in w.terms.items():
-        ks_arr = np.array(kstar, dtype=np.int64)
-        k_arr = np.array(k, dtype=np.int64)
-        valid = (occ >= k_arr).all(axis=1)
-        cols = np.nonzero(valid)[0]
-        if not len(cols):
-            continue
-        src = occ[cols]
-        dst = src - k_arr + ks_arr
-        keep = dst.sum(axis=1) <= basis.max_quanta
-        cols, src, dst = cols[keep], src[keep], dst[keep]
-        if not len(cols):
-            continue
-        amp = np.sqrt(
-            _falling_products(src, k_arr) * _falling_products(dst, ks_arr)
-        )
-        mat[basis.rank(dst), cols] += coeff * amp
+    for start in range(0, len(terms), basis.size):
+        _wick_fill(basis, terms[start:start + basis.size], mat)
     return OperatorMatrix(basis, mat)
+
+
+def _wick_fill(basis: FockBasis, terms: list, mat: np.ndarray) -> None:
+    # adds coeff z*^kstar z^k for each (kstar, k, coeff) in `terms` to mat
+    kstar = np.array([t[0] for t in terms], dtype=np.int64)
+    k = np.array([t[1] for t in terms], dtype=np.int64)
+    coeff = np.array([t[2] for t in terms], dtype=complex)
+    occ, top = basis.occupations, basis.max_quanta
+
+    # table[t, i, n] = n!/(n-k)! * (n-k+k*)!/(n-k)! for term t, mode i and
+    # occupation n, the squared amplitude's factor; 0 where n < k.  Integer
+    # products, exact in doubles below 2**53.
+    n = np.arange(top + 1)
+    lowered = n - k[..., None]
+    table = np.ones(k.shape + (top + 1,))
+    for j in range(int(max(k.max(), kstar.max()))):
+        table *= np.where(j < k[..., None], n - j, 1)
+        table *= np.where(j < kstar[..., None], lowered + kstar[..., None] - j, 1)
+
+    # (terms, states): squared amplitude of each term at each column; a
+    # column is placed when every mode holds k quanta and the target
+    # stays within the cutoff
+    amp2 = table[:, 0, occ[:, 0]]
+    for i in range(1, basis.modes):
+        amp2 *= table[:, i, occ[:, i]]
+    shift = kstar.sum(axis=1) - k.sum(axis=1)
+    placed = (amp2 > 0) & (basis.total_quanta[None, :] <= top - shift[:, None])
+    flat = np.flatnonzero(placed)
+    term, cols = np.divmod(flat, basis.size)
+    rows = basis.rank(occ[cols] + (kstar - k)[term])
+    # add.at applies the updates in order, so each entry sums in term order
+    np.add.at(mat.reshape(-1), rows * basis.size + cols,
+              coeff[term] * np.sqrt(amp2.reshape(-1)[flat]))
 
 
 def wick_symbol_deviation(

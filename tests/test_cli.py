@@ -403,6 +403,18 @@ class TestRunPreconditions:
         info = validate_config(cfg)
         assert (info["Q"], info["node_count"]) == (10, 100)
 
+    @pytest.mark.parametrize("name,Q", [
+        ("galerkin_sweep", 12), ("evolve", 40), ("galerkin_sweep", 0),
+    ])
+    def test_ruleless_kinds_ignore_q(self, tmp_path, capsys, name, Q):
+        # a galerkin sweep and an oracle evolution never build a rule
+        cfg = dict(standard_configs()[name], Q=Q)
+        assert cfg.get("method", "oracle") == "oracle"
+        info = validate_config(cfg)
+        assert "Q" not in info and "node_count" not in info
+        assert main(["validate", str(write_config(tmp_path, cfg))]) == EXIT_OK
+        assert "quadrature nodes" not in capsys.readouterr().out
+
     def test_normalized_vector_runs(self, tmp_path):
         cfg = evolve_vector_config([[0.6, 0.0], [0.0, 0.8], [0.0, 0.0], [0.0, 0.0]])
         validate_config(cfg)

@@ -334,3 +334,18 @@ class TestOperatorMatrix:
         basis = enumerate_basis(1, 3)
         assert OperatorMatrix(basis, np.diag([1.0, 2, 3, 4])).is_hermitian
         assert not OperatorMatrix(basis, np.diag([1j, 0, 0, 0])).is_hermitian
+
+    @pytest.mark.parametrize("kind", ["real", "complex"])
+    def test_hermitian_defect_matches_complex_formula(self, kind):
+        # a perturbed Hermitian matrix, so the defect is not zero
+        basis = enumerate_basis(2, 4)
+        rng = np.random.default_rng(11)
+        a = rng.standard_normal((basis.size,) * 2)
+        if kind == "complex":
+            a = a + 1j * rng.standard_normal((basis.size,) * 2)
+        mat = a + a.conj().T + 1e-13 * rng.standard_normal((basis.size,) * 2)
+        op = OperatorMatrix(basis, mat)
+        assert op.mat.imag.any() == (kind == "complex")
+        defect = np.abs(op.mat - op.mat.conj().T).max()
+        assert defect > 0
+        assert op.hermitian_defect() == defect

@@ -86,7 +86,7 @@ class TestRealArithmetic:
     def test_real_h_has_real_eigenvectors(self, name):
         h = REAL_HAMILTONIANS[name]()
         assert not h.mat.imag.any()
-        assert ExactPropagator(h).eigenvectors.dtype == np.float64
+        assert all(v.dtype == np.float64 for _, _, v in ExactPropagator(h).sectors)
 
     @pytest.mark.parametrize("name", sorted(REAL_HAMILTONIANS))
     def test_real_h_matches_complex_reference(self, name):
@@ -97,7 +97,7 @@ class TestRealArithmetic:
         a = zz() + 1j * conj_variable(1, 1) - 1j * variable(1, 1)
         h = wick_quantize(enumerate_basis(1, 8), a)
         assert h.mat.imag.any()
-        assert ExactPropagator(h).eigenvectors.dtype == np.complex128
+        assert all(v.dtype == np.complex128 for _, _, v in ExactPropagator(h).sectors)
         self.check_against_reference(h)
 
     @staticmethod
@@ -110,6 +110,58 @@ class TestRealArithmetic:
             ref = complex_oracle(h, t)
             assert np.abs(prop.operator(t).mat - ref).max() <= 1e-12
             assert np.abs(prop.apply(psi, t) - ref @ psi).max() <= 1e-12
+
+
+def number_conserving(d=2):
+    """Hopping plus a quartic number term: every term keeps the total quanta."""
+    z1, z2 = variable(d, 1), variable(d, 2)
+    c1, c2 = conj_variable(d, 1), conj_variable(d, 2)
+    return c1 * z1 + 0.5 * c2 * z2 + 0.3 * (c1 * z2 + c2 * z1) + 0.1 * (c1 * z1) ** 2
+
+
+# name -> (Hamiltonian, sector count); g is the gcd of the quanta changes
+SECTOR_CASES = {
+    # g = 2: the two parities
+    "coupled-quartic": (
+        lambda: wick_quantize(enumerate_basis(3, 6), coupled_quartic(modes=3)), 2),
+    # g = 0: one sector per total quanta 0..M
+    "number-conserving": (
+        lambda: wick_quantize(enumerate_basis(2, 7), number_conserving()), 8),
+    # g = 1, real and complex path
+    "z-plus-zstar": (
+        lambda: wick_quantize(
+            enumerate_basis(1, 8), zz() + conj_variable(1, 1) + variable(1, 1)), 1),
+    "i-zstar-minus-i-z": (
+        lambda: wick_quantize(
+            enumerate_basis(1, 8), 1j * conj_variable(1, 1) - 1j * variable(1, 1)), 1),
+    # g = 4: N mod 4
+    "z4": (
+        lambda: wick_quantize(
+            enumerate_basis(1, 10),
+            zz() + variable(1, 1) ** 4 + conj_variable(1, 1) ** 4), 4),
+    # no nonzero entry: g = 0 again
+    "zero": (
+        lambda: OperatorMatrix(enumerate_basis(2, 3), np.zeros((10, 10))), 4),
+}
+
+
+class TestSectors:
+    @pytest.mark.parametrize("name", sorted(SECTOR_CASES))
+    def test_matches_one_block_oracle(self, name):
+        build, count = SECTOR_CASES[name]
+        h = build()
+        prop = ExactPropagator(h)
+        assert len(prop.sectors) == count
+        # the sectors partition the basis
+        states = np.sort(np.concatenate([idx for idx, _, _ in prop.sectors]))
+        np.testing.assert_array_equal(states, np.arange(h.basis.size))
+        TestRealArithmetic.check_against_reference(h)
+
+    def test_path_choice_is_per_matrix(self):
+        real = ExactPropagator(SECTOR_CASES["z-plus-zstar"][0]())
+        cplx = ExactPropagator(SECTOR_CASES["i-zstar-minus-i-z"][0]())
+        assert [v.dtype for _, _, v in real.sectors] == [np.float64]
+        assert [v.dtype for _, _, v in cplx.sectors] == [np.complex128]
 
 
 class TestChernoffPropagator:

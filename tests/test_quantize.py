@@ -38,6 +38,36 @@ def wick_quantize_loop(basis, w):
     return mat
 
 
+def _falling_products(values, exps):
+    out = np.ones(values.shape[0])
+    kmax = int(exps.max()) if exps.size else 0
+    for j in range(kmax):
+        factor = np.where(j < exps[None, :], values - j, 1)
+        out *= factor.prod(axis=1)
+    return out
+
+
+def wick_quantize_per_term(basis, w):
+    """Reference: one vectorized numpy pass per term, rows from basis.rank."""
+    occ = basis.occupations
+    mat = np.zeros((basis.size, basis.size), dtype=complex)
+    for (kstar, k), coeff in w.terms.items():
+        ks_arr = np.array(kstar, dtype=np.int64)
+        k_arr = np.array(k, dtype=np.int64)
+        cols = np.nonzero((occ >= k_arr).all(axis=1))[0]
+        src = occ[cols]
+        dst = src - k_arr + ks_arr
+        keep = dst.sum(axis=1) <= basis.max_quanta
+        cols, src, dst = cols[keep], src[keep], dst[keep]
+        if not len(cols):
+            continue
+        amp = np.sqrt(
+            _falling_products(src, k_arr) * _falling_products(dst, ks_arr)
+        )
+        mat[basis.rank(dst), cols] += coeff * amp
+    return mat
+
+
 def product_rows(per_mode, modes):
     """(len^modes, modes) rows of every per-mode tuple, the last mode fastest."""
     return per_mode[np.indices((len(per_mode),) * modes).reshape(modes, -1).T]
@@ -205,6 +235,44 @@ class TestWickRowPlacement:
         w = random_symbol(rng, 3, 5, n_terms=20)
         assert not w.is_real()
         assert np.array_equal(wick_quantize(basis, w).mat, wick_quantize_loop(basis, w))
+
+
+class TestWickFill:
+    """The one-pass fill equals the per-term loop bit for bit."""
+
+    @pytest.mark.parametrize("modes", [1, 2, 3, 4])
+    def test_random_complex_symbols(self, modes):
+        rng = np.random.default_rng(100 + modes)
+        for max_quanta in (0, 1, 3, 5):
+            basis = enumerate_basis(modes, max_quanta)
+            # degrees past M give terms whose k exceeds the cutoff
+            w = random_symbol(rng, modes, max_quanta + 3, n_terms=25)
+            assert not w.is_real()
+            self.check(basis, w)
+
+    def test_k_past_cutoff(self):
+        basis = enumerate_basis(2, 3)
+        w = variable(2, 1) ** 5 + conj_variable(2, 2) ** 4 * variable(2, 1) + zz(2)
+        self.check(basis, w)
+
+    def test_zero_symbol(self):
+        basis = enumerate_basis(3, 2)
+        assert not wick_quantize(basis, PolySymbol(3, {})).mat.any()
+        self.check(basis, PolySymbol(3, {}))
+
+    def test_more_terms_than_states(self):
+        # 10 states and over 10 terms: the fill runs in several blocks
+        basis = enumerate_basis(2, 3)
+        w = random_symbol(np.random.default_rng(7), 2, 3, n_terms=60)
+        assert len(w.terms) > 2 * basis.size
+        self.check(basis, w)
+
+    def test_coupled_quartic_at_four_modes(self):
+        self.check(enumerate_basis(4, 10), coupled_quartic())
+
+    @staticmethod
+    def check(basis, w):
+        assert np.array_equal(wick_quantize(basis, w).mat, wick_quantize_per_term(basis, w))
 
 
 class TestWickSymbolOracle:
