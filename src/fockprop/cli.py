@@ -197,8 +197,13 @@ def _check_grid(field: str, grid: str, points: int, d: int) -> None:
         )
 
 
-def _check_nodes(Q: int, d: int) -> None:
-    _check_grid("Q", f"rule order {Q} gives a quadrature grid", Q ** (2 * d), d)
+def _check_nodes(Q: int, M: int, d: int) -> None:
+    # the quadrature's largest array: its Q^(2d) node values, or, when
+    # Q < M + 1, the (M+1)^(2d) basis pairs of its last contraction
+    side = max(Q, M + 1)
+    grid = (f"rule order {Q} gives a quadrature grid" if side == Q
+            else f"cutoff M + 1 = {M + 1} > Q = {Q} gives a quadrature array")
+    _check_grid("Q", grid, side ** (2 * d), d)
 
 
 def _check_slice_rule(Q: int, M: int, d: int) -> None:
@@ -207,7 +212,7 @@ def _check_slice_rule(Q: int, M: int, d: int) -> None:
         raise ConfigError(
             f"Q: rule order {Q} < M + 1 = {M + 1}; chernoff slices need Q >= M + 1"
         )
-    _check_nodes(Q, d)
+    _check_nodes(Q, M, d)
 
 
 def _parse_symbol(cfg, modes: int) -> PolySymbol:
@@ -303,7 +308,7 @@ def validate_config(cfg) -> dict:
         info["count"] = _get_int(cfg, "count", required=False, default=50, minimum=1)
         radius = _get_number(cfg, "radius", required=False, default=6.0)
         grid = PhaseGrid(radius=float(radius))
-        _check_nodes(Q, d)
+        _check_nodes(Q, M, d)
         _check_grid("d", "lower-bound scans a phase grid",
                     len(grid.mode_points()) ** d, d)
         info["grid"] = grid

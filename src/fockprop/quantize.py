@@ -11,7 +11,6 @@ the phase-space measure is the Hermite weight, so rule weights sum to 1.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -26,7 +25,6 @@ DEFAULT_ORDER_MARGIN = 2  # default rule order Q = M + 2
 __all__ = [
     "QuadratureRule",
     "gauss_hermite_rule",
-    "rule_to_csv",
     "wick_quantize",
     "wick_symbol_deviation",
     "antiwick_quantize_poly",
@@ -60,9 +58,10 @@ def gauss_hermite_rule(modes: int, order: int) -> QuadratureRule:
     """Build the phase-space rule with `order` points per real coordinate.
 
     The rule has order^(2*modes) nodes but stores only one mode's
-    order^2; a symbol evaluated on it through PolySymbol.evaluate_grid may
-    have at most symbols.GRID_MAX_POINTS nodes.  Exact for integrands of
-    degree <= 2*order - 1 in each real coordinate.
+    order^2.  Quantizing on it at cutoff M forms arrays of up to
+    max(order, M + 1)^(2*modes) complex entries, which symbols.GRID_MAX_POINTS
+    bounds.  Exact for integrands of degree <= 2*order - 1 in each real
+    coordinate.
     """
     if modes < 1:
         raise ValueError("modes must be >= 1")
@@ -75,21 +74,6 @@ def gauss_hermite_rule(modes: int, order: int) -> QuadratureRule:
         mode_nodes=(x[:, None] + 1j * x[None, :]).reshape(-1),
         mode_weights=np.outer(w, w).reshape(-1) / math.pi,
     )
-
-
-def rule_to_csv(rule: QuadratureRule, path) -> None:
-    """Audit dump: each mode's 2-D factor rule, columns mode,node_re,node_im,weight.
-
-    The full tensor rule is the product of these per-mode factors.
-    """
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["mode", "node_re", "node_im", "weight"])
-        for mode in range(1, rule.modes + 1):
-            for z, w in zip(rule.mode_nodes, rule.mode_weights):
-                writer.writerow(
-                    [mode, repr(float(z.real)), repr(float(z.imag)), repr(float(w))]
-                )
 
 
 def wick_quantize(basis: FockBasis, w: PolySymbol) -> OperatorMatrix:
@@ -197,10 +181,10 @@ def antiwick_quantize_function(
     W_q |z_q><z_q|: its (n, m) entry is prod_i phi[n_i, p_i] conj
     phi[m_i, p_i] with phi[n, p] = sqrt(w_p) z_p^n / sqrt(n!), the
     Gaussian of the coherent vector cancelling the exp(|z|^2) in W_q.  So
-    the node sum is done one mode at a time (sum factorization): modes
-    1..d-1 against the pair kernel K[(n, m), p] = phi[n, p] conj phi[m, p],
-    the last one as the gemm (phi * x) @ phi^H, for O((M+1)^2 Q^(2d))
-    work in all.  Basis entries are gathered from the (M+1)^(2d) result.
+    the node sum is done one mode at a time (sum factorization): every mode
+    against the pair kernel K[(n, m), p] = phi[n, p] conj phi[m, p], for
+    O((M+1)^2 Q^(2d)) work in all; a single mode is the gemm
+    (phi f) phi^H.  Basis entries are gathered from the (M+1)^(2d) result.
     """
     if rule.modes != basis.modes:
         raise ValueError(
@@ -220,18 +204,18 @@ def antiwick_quantize_function(
     steps = z[None, :] / np.sqrt(np.arange(1, levels))[:, None]
     phi = np.cumprod(np.vstack([sqrt_w[None, :], steps]), axis=0)
 
-    # contract the leading node axis, append its (n, m) pair axis at the
-    # end; the kernel is built in the loop, so d = 1 pays nothing for it
-    points = len(z)
-    acc = vals
-    for _ in range(basis.modes - 1):
+    if basis.modes == 1:
+        # one mode's sum is the gemm (phi f) phi^H; as a kernel product it
+        # would be a gemv, which OpenBLAS threads from (M+1)^2 Q^2 = 4096 on,
+        # and its threads then spin while the caller runs on
+        acc = (phi * vals) @ phi.conj().T
+    else:
+        # contract the leading node axis, append its (n, m) pair axis at
+        # the end; no array exceeds max(Q, M + 1)^(2d) entries
         kernel = (phi[:, None, :] * phi.conj()[None, :, :]).reshape(levels**2, -1)
-        acc = acc.reshape(points, -1).T @ kernel.T
-    # the last mode as one gemm with a (pairs so far, n) row per phi row;
-    # at d = 1 a kernel product would be a gemv, which OpenBLAS threads
-    # with nothing to gain
-    last = acc.reshape(points, -1).T
-    acc = (last[:, None, :] * phi[None, :, :]).reshape(-1, points) @ phi.conj().T
+        acc = vals
+        for _ in range(basis.modes):
+            acc = acc.reshape(len(z), -1).T @ kernel.T
 
     # entry (r, c) sits at pair (occ[r, i], occ[c, i]) of every mode i
     stride = levels ** (2 * np.arange(basis.modes - 1, -1, -1))

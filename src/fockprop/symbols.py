@@ -24,9 +24,10 @@ import numpy as np
 
 TermKey = tuple[tuple[int, ...], tuple[int, ...]]
 
-# the most points of any product grid a symbol is evaluated on: quadrature
-# nodes and phase-grid scans alike
-GRID_MAX_POINTS = 5_000_000
+# the most complex entries (16 B each) of any single array a grid run forms:
+# a symbol's values on a product grid (quadrature nodes and phase-grid scans
+# alike), and an anti-Wick quadrature's largest array, max(Q, M + 1)^(2d)
+GRID_MAX_POINTS = 6_000_000
 
 __all__ = [
     "PolySymbol",

@@ -174,6 +174,11 @@ class TestQuadratureAtFourModes:
         assert json.loads((tmp_path / "report.json").read_text()) == report
         assert (tmp_path / "chernoff_table.csv").exists()
 
+    def test_q7_sweep_validates(self):
+        # 7^8 = 5,764,801 nodes, the largest d = 4 grid under the limit
+        cfg = multimode_chernoff_config(4, M=6, Q=7)
+        assert validate_config(cfg)["node_count"] == 5764801
+
 
 class TestGridEvaluation:
     """Slices and lower bounds evaluate symbols on the product grid only."""
@@ -376,6 +381,11 @@ RUN_PRECONDITIONS = [
           symbol=to_term_list(coupled_quartic(modes=3)),
           initial={"type": "vacuum"}),
      "rule order 16 gives a quadrature grid of 16777216 points"),
+    # Q < M + 1: the quadrature's last contraction forms 61^4 = 13,845,841
+    # basis pairs from a 16-node grid
+    ("lower-bound-pair-array", "Q",
+     {"schema": 1, "kind": "lower-bound", "d": 2, "M": 60, "Q": 2, "count": 1},
+     "quadrature array of 13845841 points"),
 ]
 
 

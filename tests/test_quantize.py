@@ -1,5 +1,5 @@
-import csv
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +10,6 @@ from fockprop.quantize import (
     antiwick_quantize_function,
     antiwick_quantize_poly,
     gauss_hermite_rule,
-    rule_to_csv,
     wick_quantize,
     wick_symbol_deviation,
 )
@@ -124,42 +123,6 @@ class TestQuadratureRule:
         for a in range(0, 2 * q):
             val = integrate(rule, lambda p: p[:, 0].real ** a)
             assert abs(val - real_moment(a)) <= 1e-10, f"degree {a}"
-
-    def test_csv_dump(self, tmp_path):
-        rule = gauss_hermite_rule(2, 4)
-        path = tmp_path / "rule.csv"
-        rule_to_csv(rule, path)
-        with open(path) as fh:
-            rows = list(csv.DictReader(fh))
-        assert len(rows) == 2 * 16
-        per_mode = sum(float(r["weight"]) for r in rows if r["mode"] == "1")
-        assert per_mode == pytest.approx(1.0, abs=1e-10)
-
-    @pytest.mark.parametrize("d,q,rows", [
-        (1, 3, [
-            "1,-1.224744871391589,-1.224744871391589,0.02777777777777779",
-            "1,-1.224744871391589,0.0,0.11111111111111113",
-            "1,-1.224744871391589,1.224744871391589,0.02777777777777779",
-            "1,0.0,-1.224744871391589,0.11111111111111113",
-            "1,0.0,0.0,0.44444444444444436",
-            "1,0.0,1.224744871391589,0.11111111111111113",
-            "1,1.224744871391589,-1.224744871391589,0.02777777777777779",
-            "1,1.224744871391589,0.0,0.11111111111111113",
-            "1,1.224744871391589,1.224744871391589,0.02777777777777779",
-        ]),
-        (2, 2, [
-            f"{mode},{re},{im},0.24999999999999997"
-            for mode in (1, 2)
-            for re in ("-0.7071067811865475", "0.7071067811865475")
-            for im in ("-0.7071067811865475", "0.7071067811865475")
-        ]),
-    ])
-    def test_csv_dump_exact_text(self, tmp_path, d, q, rows):
-        # plain float reprs, one factor rule per mode, csv's \r\n line ends
-        path = tmp_path / "rule.csv"
-        rule_to_csv(gauss_hermite_rule(d, q), path)
-        lines = ["mode,node_re,node_im,weight"] + rows
-        assert path.read_bytes() == "".join(f"{line}\r\n" for line in lines).encode()
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     def test_nodes_match_meshgrid_construction(self, d):
@@ -429,7 +392,9 @@ def mixed_function(modes, seed):
 
 
 class TestAntiwickSumFactorization:
-    @pytest.mark.parametrize("d,M,Q", [(1, 6, 8), (2, 4, 6), (3, 2, 4)])
+    @pytest.mark.parametrize("d,M,Q", [
+        (1, 6, 8), (2, 4, 6), (3, 2, 4), (4, 2, 3), (2, 5, 3),
+    ])
     def test_matches_node_sum(self, d, M, Q):
         basis = enumerate_basis(d, M)
         rule = gauss_hermite_rule(d, Q)
@@ -438,6 +403,19 @@ class TestAntiwickSumFactorization:
         ref = antiwick_quadrature_reference(basis, f, rule)
         assert np.abs(ref).max() > 0.1
         assert np.abs(op - ref).max() <= 1e-13
+
+    def test_peak_memory_stays_near_node_values(self):
+        # 10^6 nodes, 16 MB of values; no contraction step may outgrow them
+        basis = enumerate_basis(3, 8)
+        rule = gauss_hermite_rule(3, 10)
+        values = coupled_quartic(modes=3).evaluate_grid(rule.mode_nodes)
+        tracemalloc.start()
+        try:
+            antiwick_quantize_function(basis, values, rule)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * values.nbytes
 
     def test_real_function_gives_hermitian_operator(self):
         basis = enumerate_basis(3, 2)

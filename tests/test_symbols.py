@@ -83,7 +83,7 @@ class TestEvaluateGrid:
 
     def test_refuses_grid_over_limit(self):
         per_mode = int(GRID_MAX_POINTS ** 0.5) + 1
-        with pytest.raises(ValueError, match="at most 5000000"):
+        with pytest.raises(ValueError, match=f"at most {GRID_MAX_POINTS}"):
             zz(2).evaluate_grid(np.zeros(per_mode))
 
     def test_rejects_point_array(self):
