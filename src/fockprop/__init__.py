@@ -45,7 +45,7 @@ from .propagate import (
     SliceSchedule,
     ConvergenceRecord,
     ExactPropagator,
-    exact_evolution,
+    oracle_elements,
     chernoff_step,
     chernoff_propagator,
     coherent_matrix_element,
@@ -57,7 +57,6 @@ from .galerkin import (
     RateFit,
     fit_rate,
     reduce_hamiltonian,
-    galerkin_sweep,
     galerkin_sweeps,
     schrodinger_evolve,
 )

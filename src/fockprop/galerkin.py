@@ -18,12 +18,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .fock import FockBasis, OperatorMatrix, checked_coherent_components
+from .fock import FockBasis, OperatorMatrix
 from .propagate import (
     ConvergenceRecord,
     ExactPropagator,
     SliceSchedule,
     chernoff_propagator,
+    oracle_elements,
 )
 from .quantize import (
     DEFAULT_ORDER_MARGIN,
@@ -35,7 +36,6 @@ from .symbols import PolySymbol, as_phase_point, truncate_modes
 
 DENSE_BASIS_BUDGET = 20_000
 ERROR_FLOOR = 1e-12
-DEFAULT_SLOPE_THRESHOLD = -0.8
 
 __all__ = [
     "BudgetError",
@@ -44,7 +44,6 @@ __all__ = [
     "RateFit",
     "fit_rate",
     "reduce_hamiltonian",
-    "galerkin_sweep",
     "galerkin_sweeps",
     "EvolveResult",
     "schrodinger_evolve",
@@ -91,18 +90,17 @@ class Flag:
 @dataclass(frozen=True)
 class RateFit:
     """Least-squares slope of log error vs log n; exact=True when the sweep
-    hit the error floor everywhere and no fit is meaningful."""
+    hit the error floor everywhere and no fit is meaningful.
+
+    A measurement only: whether the slope is steep enough is for the caller
+    to judge (the CLI's rate-slope check).
+    """
 
     samples: tuple[tuple[int, float], ...]
     slope: float | None
     intercept: float | None
     residual: float | None
     exact: bool
-    threshold: float = DEFAULT_SLOPE_THRESHOLD
-
-    @property
-    def passed(self) -> bool:
-        return self.exact or (self.slope is not None and self.slope <= self.threshold)
 
     def to_json(self) -> dict:
         return {
@@ -111,29 +109,27 @@ class RateFit:
             "intercept": self.intercept,
             "residual": self.residual,
             "exact": self.exact,
-            "threshold": self.threshold,
-            "pass": self.passed,
         }
 
 
-def fit_rate(
-    samples: Sequence[tuple[int, float]],
-    threshold: float = DEFAULT_SLOPE_THRESHOLD,
-) -> RateFit:
+def _loglog_fit(points: Sequence[tuple[int, float]]):
+    """Degree-1 least squares of log e on log n: (coefficients, residuals)."""
+    coeffs, residuals, *_ = np.polyfit(
+        np.log([n for n, _ in points]), np.log([e for _, e in points]), 1, full=True
+    )
+    return coeffs, residuals
+
+
+def fit_rate(samples: Sequence[tuple[int, float]]) -> RateFit:
     """Fit log error ~ slope * log n + intercept over samples above ERROR_FLOOR."""
     samples = tuple((int(n), float(e)) for n, e in samples)
     usable = [(n, e) for n, e in samples if e > ERROR_FLOOR]
-    if not usable:
-        return RateFit(samples, None, None, None, exact=True, threshold=threshold)
     if len(usable) < 3:
-        return RateFit(samples, None, None, None, exact=False, threshold=threshold)
-    log_n = np.log([n for n, _ in usable])
-    log_e = np.log([e for _, e in usable])
-    coeffs, residuals, *_ = np.polyfit(log_n, log_e, 1, full=True)
+        return RateFit(samples, None, None, None, exact=not usable)
+    coeffs, residuals = _loglog_fit(usable)
     slope, intercept = float(coeffs[0]), float(coeffs[1])
     residual = float(np.sqrt(residuals[0] / len(usable))) if len(residuals) else 0.0
-    return RateFit(samples, slope, intercept, residual, exact=False,
-                   threshold=threshold)
+    return RateFit(samples, slope, intercept, residual, exact=False)
 
 
 def reduce_hamiltonian(
@@ -158,27 +154,6 @@ def reduce_hamiltonian(
     raise ValueError(f"unknown route {route!r}")
 
 
-def galerkin_sweep(
-    w: PolySymbol,
-    flag: Flag,
-    t: float,
-    alpha,
-    beta,
-    max_quanta: int,
-    route: str = "wick",
-    threshold: float = DEFAULT_SLOPE_THRESHOLD,
-) -> tuple[list[ConvergenceRecord], RateFit]:
-    """Coherent-element errors of the reduced evolutions vs the d_max reference.
-
-    The sweep of `galerkin_sweeps` at the single time t; use that function
-    directly to compare several times, which then share one Hamiltonian
-    and one decomposition per n.
-    """
-    return galerkin_sweeps(
-        w, flag, [t], alpha, beta, max_quanta, route=route, threshold=threshold,
-    )[0]
-
-
 def galerkin_sweeps(
     w: PolySymbol,
     flag: Flag,
@@ -187,17 +162,17 @@ def galerkin_sweeps(
     beta,
     max_quanta: int,
     route: str = "wick",
-    threshold: float = DEFAULT_SLOPE_THRESHOLD,
 ) -> list[tuple[list[ConvergenceRecord], RateFit]]:
-    """Galerkin sweeps at several times, one (records, fit) pair per time.
+    """Coherent-element errors of the reduced evolutions vs the d_max
+    reference, one (records, fit) pair per time.
 
-    For each n in the flag, H_n is built on the n-mode basis and
-    diagonalized once by the spectral oracle (ExactPropagator); each
-    time's element <F_a, exp(-i H_n t) F_b> at the probes projected to the
-    first n modes is then one propagated vector, O(size^2), not a dense
-    unitary.  The d_max reference at the same quanta cutoff is built once
-    the same way, and each record's error is taken against the reference
-    at its own time.
+    For each n in the flag, H_n is built on the n-mode basis and its
+    elements <F_a, exp(-i H_n t) F_b> at the probes projected to the first
+    n modes come from one oracle_elements call: one decomposition for all
+    times, one propagated vector per time.  The d_max reference at the same
+    quanta cutoff is built the same way, and each record's error is taken
+    against the reference at its own time.  The fit is a measurement; no
+    slope is judged here.
 
     A record's `seconds` is its member's build, decomposition and element
     time for all times together, so every time reports the same value.
@@ -212,10 +187,8 @@ def galerkin_sweeps(
     def member(n: int) -> tuple[int, list[complex], float]:
         start = time.perf_counter()
         basis_n = FockBasis(n, max_quanta)
-        fa = checked_coherent_components(basis_n, a_full[:n])
-        fb = checked_coherent_components(basis_n, b_full[:n])
-        prop = ExactPropagator(reduce_hamiltonian(w, n, basis_n, route=route))
-        values = [complex(np.vdot(fa, prop.apply(fb, t))) for t in times]
+        h_n = reduce_hamiltonian(w, n, basis_n, route=route)
+        values = oracle_elements(h_n, a_full[:n], b_full[:n], times)
         return n, values, time.perf_counter() - start
 
     _, reference, _ = member(w.modes)
@@ -232,8 +205,7 @@ def galerkin_sweeps(
             )
             for n, values, seconds in members
         ]
-        fit = fit_rate([(r.parameter, r.abs_error) for r in records],
-                       threshold=threshold)
+        fit = fit_rate([(r.parameter, r.abs_error) for r in records])
         sweeps.append((records, fit))
     return sweeps
 
@@ -310,12 +282,7 @@ def running_slopes(records: Sequence[ConvergenceRecord]) -> list[float]:
     for r in records:
         if r.abs_error > ERROR_FLOOR:
             pts.append((r.parameter, r.abs_error))
-        if len(pts) < 2:
-            out.append(float("nan"))
-        else:
-            coeffs = np.polyfit(np.log([n for n, _ in pts]),
-                                np.log([e for _, e in pts]), 1)
-            out.append(float(coeffs[0]))
+        out.append(float(_loglog_fit(pts)[0][0]) if len(pts) >= 2 else float("nan"))
     return out
 
 

@@ -30,7 +30,7 @@ __all__ = [
     "SliceSchedule",
     "ConvergenceRecord",
     "ExactPropagator",
-    "exact_evolution",
+    "oracle_elements",
     "chernoff_step",
     "chernoff_propagator",
     "coherent_matrix_element",
@@ -152,9 +152,19 @@ def _sectors(basis: FockBasis, mat: np.ndarray) -> list[np.ndarray]:
     return [idx for idx in sectors if len(idx)]
 
 
-def exact_evolution(h: OperatorMatrix, t: float) -> OperatorMatrix:
-    """Unitary exp(-i h t); errors out on non-Hermitian input."""
-    return ExactPropagator(h).operator(t)
+def oracle_elements(
+    h: OperatorMatrix, alpha, beta, times: Sequence[float]
+) -> list[complex]:
+    """Spectral-oracle coherent elements <F_alpha, exp(-i h t) F_beta>, per time.
+
+    Both coherent vectors have their quanta-cutoff tails checked; h is
+    decomposed once, and each element is one propagated vector, O(size^2),
+    not a dense unitary.
+    """
+    fa = checked_coherent_components(h.basis, alpha)
+    fb = checked_coherent_components(h.basis, beta)
+    prop = ExactPropagator(h)
+    return [complex(np.vdot(fa, prop.apply(fb, t))) for t in times]
 
 
 def chernoff_step(
@@ -205,9 +215,9 @@ def feynman_reference(
     a: PolySymbol, t: float, alpha, beta, basis: FockBasis
 ) -> complex:
     """Spectral-oracle coherent element of exp(-i A t), A the anti-Wick
-    quantization of `a`: the generator the anti-normal slicing converges to."""
-    oracle = ExactPropagator(antiwick_quantize_poly(basis, a))
-    return coherent_matrix_element(oracle.operator(t), alpha, beta)
+    quantization of `a`: the generator the anti-normal slicing converges to.
+    One oracle_elements call, so no dense unitary is formed."""
+    return oracle_elements(antiwick_quantize_poly(basis, a), alpha, beta, [t])[0]
 
 
 def feynman_record(

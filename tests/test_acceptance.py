@@ -15,7 +15,7 @@ from fockprop.fock import (
     coherent_vector,
     enumerate_basis,
 )
-from fockprop.galerkin import Flag, galerkin_sweep
+from fockprop.galerkin import Flag, galerkin_sweeps
 from fockprop.propagate import (
     ExactPropagator,
     SliceSchedule,
@@ -190,13 +190,13 @@ def test_criterion_6_galerkin_convergence():
     beta = np.array([0.25 + 0.15j, 0, 0, 0])
     M = 8
 
-    records, fit = galerkin_sweep(w, flag, 0.3, alpha, beta, M)
+    (records, fit), (base, _), (doubled, _) = galerkin_sweeps(
+        w, flag, [0.3, 0.05, 0.10], alpha, beta, M
+    )
     errors = [r.abs_error for r in records]
     decreasing = all(e2 < e1 for e1, e2 in zip(errors, errors[1:]))
     slope_ok = fit.slope is not None and fit.slope <= -0.8
 
-    base, _ = galerkin_sweep(w, flag, 0.05, alpha, beta, M)
-    doubled, _ = galerkin_sweep(w, flag, 0.10, alpha, beta, M)
     t_ratios = [d2.abs_error / d1.abs_error for d1, d2 in zip(base, doubled)]
     window_ok = all(2.5 <= r <= 6.0 for r in t_ratios)
     elapsed = time.perf_counter() - start

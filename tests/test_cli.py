@@ -30,7 +30,7 @@ from fockprop.cli import (
 from fockprop.fock import FockBasis
 from fockprop.propagate import chernoff_step, feynman_convergence_table
 from fockprop.quantize import gauss_hermite_rule
-from fockprop.symbols import from_term_list, to_term_list
+from fockprop.symbols import conj_variable, from_term_list, to_term_list, variable
 
 
 def write_config(tmp_path, cfg, name="config.json"):
@@ -147,6 +147,17 @@ class TestNonFiniteNumbers:
             GALERKIN["t_scaling"], window=[2.5, float("nan")]))),
         ("t_scaling.base_t", dict(GALERKIN, t_scaling=dict(
             GALERKIN["t_scaling"], base_t=float("inf")))),
+        # json true and false are not numbers, though Python counts them as ints
+        ("t_grid", dict(standard_configs()["evolve"], t_grid=[0.0, True])),
+        ("probes[0].alpha[0]", chernoff_config(
+            probes=[{"alpha": [[True, 0.0]], "beta": [[0.2, 0.1]]}])),
+        ("halving_window", chernoff_config(halving_window=[True, 3])),
+        ("initial.alpha[0]", dict(standard_configs()["evolve"], initial={
+            "type": "coherent", "alpha": [[0.5, False]]})),
+        ("t_scaling.window", dict(GALERKIN, t_scaling=dict(
+            GALERKIN["t_scaling"], window=[True, 6.0]))),
+        ("t_scaling.base_t", dict(GALERKIN, t_scaling=dict(
+            GALERKIN["t_scaling"], base_t=True))),
     ])
     def test_number_fields(self, field, cfg):
         with pytest.raises(ConfigError, match=rf"^{re.escape(field)}: "):
@@ -270,6 +281,45 @@ class TestRunKinds:
         states = json.loads((tmp_path / "states.json").read_text())
         assert states["times"] == [0.0, 0.25, 0.5, 0.75, 1.0]
         assert max(states["norm_defects"]) <= 1e-8
+
+
+class TestRateSlopeCheck:
+    """The CLI judges the sweep's log-log fit against `slope_threshold`."""
+
+    @staticmethod
+    def sweep(tmp_path, cfg):
+        out = tmp_path / "out"
+        cfg = {key: value for key, value in cfg.items() if key != "t_scaling"}
+        code = main(["run", str(write_config(tmp_path, cfg)), "--out-dir", str(out)])
+        report = json.loads((out / "report.json").read_text())
+        fit = json.loads((out / "galerkin_fit.json").read_text())
+        assert report["metrics"]["fit"] == fit
+        return code, {c["name"]: c["passed"] for c in report["checks"]}, fit
+
+    def test_two_entry_flag_fails(self, tmp_path, capsys):
+        # two errors give no fit: no slope, so no pass
+        code, passed, fit = self.sweep(
+            tmp_path, dict(GALERKIN, M=6, flag=[1, 2], slope_threshold=-0.5)
+        )
+        assert code == EXIT_CHECK_FAILED
+        assert "FAILED: rate-slope" in capsys.readouterr().err
+        assert not passed["rate-slope"]
+        assert fit["pass"] is False and fit["slope"] is None
+        assert fit["threshold"] == -0.5
+
+    def test_mode_one_symbol_is_exact(self, tmp_path, capsys):
+        # every reduced evolution equals the reference: all errors are zero,
+        # so the fit is exact and passes, while the decrease check fails
+        zz = conj_variable(3, 1) * variable(3, 1)
+        zeros = [[0.0, 0.0], [0.0, 0.0]]
+        code, passed, fit = self.sweep(tmp_path, dict(
+            GALERKIN, d=3, M=6, flag=[1, 2], symbol=to_term_list(zz + 0.1 * zz**2),
+            probes=[{"alpha": [[0.3, 0.0]] + zeros, "beta": [[0.2, 0.1]] + zeros}],
+        ))
+        assert code == EXIT_CHECK_FAILED
+        assert fit["samples"] == [[1, 0.0], [2, 0.0]]
+        assert passed == {"errors-strictly-decreasing": False, "rate-slope": True}
+        assert fit["exact"] and fit["pass"] is True
 
 
 class TestChernoffTable:
@@ -560,6 +610,15 @@ class TestExitCodes:
         out = capsys.readouterr().out
         megabytes = float(re.search(r"dense matrix: ([\d.]+) MB", out).group(1))
         assert 6.3e3 <= megabytes < 6.4e3
+
+    def test_validate_prints_largest_quadrature_array(self, tmp_path, capsys):
+        # Q < M + 1: 16 nodes, but the last contraction forms 41^4 basis pairs
+        cfg = write_config(tmp_path, {"schema": 1, "kind": "lower-bound", "d": 2,
+                                      "M": 40, "Q": 2, "count": 1})
+        assert main(["validate", str(cfg)]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "quadrature nodes: 2^(2*2) = 16" in out
+        assert "largest quadrature array: 2825761 entries (45.2 MB)" in out
 
 
 class TestDeterminism:

@@ -8,7 +8,6 @@ from fockprop.fock import coherent_vector, enumerate_basis
 from fockprop.galerkin import (
     Flag,
     fit_rate,
-    galerkin_sweep,
     galerkin_sweeps,
     reduce_hamiltonian,
     schrodinger_evolve,
@@ -111,31 +110,27 @@ class TestRateFit:
         samples = [(n, 2.0 * n**-1.2) for n in (1, 2, 3, 4)]
         fit = fit_rate(samples)
         assert fit.slope == pytest.approx(-1.2, abs=1e-10)
-        assert fit.passed
 
     def test_exact_when_all_below_floor(self):
         fit = fit_rate([(1, 0.0), (2, 1e-14), (3, 0.0)])
-        assert fit.exact and fit.passed and fit.slope is None
+        assert fit.exact and fit.slope is None
 
     def test_needs_three_points(self):
         fit = fit_rate([(1, 0.1), (2, 0.05)])
-        assert not fit.exact and fit.slope is None and not fit.passed
+        assert not fit.exact and fit.slope is None
 
     def test_json_shape(self):
         fit = fit_rate([(n, 1.0 / n) for n in (1, 2, 4)])
         payload = fit.to_json()
-        assert set(payload) == {
-            "samples", "slope", "intercept", "residual", "exact",
-            "threshold", "pass",
-        }
+        assert set(payload) == {"samples", "slope", "intercept", "residual", "exact"}
 
 
 class TestGalerkinSweep:
     def test_mode_one_symbol_is_exact(self):
         w = zz(3) + 0.1 * (zz(3) ** 2)
         flag = Flag(d_max=3, ns=(1, 2))
-        records, fit = galerkin_sweep(
-            w, flag, 0.4, [0.3, 0, 0], [0.2, 0, 0], max_quanta=6
+        [(records, fit)] = galerkin_sweeps(
+            w, flag, [0.4], [0.3, 0, 0], [0.2, 0, 0], max_quanta=6
         )
         assert all(r.abs_error <= 1e-10 for r in records)
         assert fit.exact
@@ -145,7 +140,7 @@ class TestGalerkinSweep:
         flag = Flag(d_max=4, ns=(1, 2, 3))
         alpha = np.array([0.35, 0, 0, 0], dtype=complex)
         beta = np.array([0.25 + 0.15j, 0, 0, 0])
-        records, fit = galerkin_sweep(w, flag, 0.3, alpha, beta, max_quanta=6)
+        [(records, fit)] = galerkin_sweeps(w, flag, [0.3], alpha, beta, max_quanta=6)
         errors = [r.abs_error for r in records]
         assert all(e2 < e1 for e1, e2 in zip(errors, errors[1:]))
         assert fit.slope is not None and fit.slope <= -0.8
@@ -154,13 +149,13 @@ class TestGalerkinSweep:
         w = coupled_quartic()
         flag = Flag(d_max=4, ns=(1, 2, 3))
         with pytest.raises(ValueError, match="exceeds"):
-            galerkin_sweep(w, flag, 0.1, [0.1] * 4, [0.1] * 4, max_quanta=60)
+            galerkin_sweeps(w, flag, [0.1], [0.1] * 4, [0.1] * 4, max_quanta=60)
 
     def test_csv_writer(self, tmp_path):
         w = coupled_quartic()
         flag = Flag(d_max=4, ns=(1, 2, 3))
-        records, _ = galerkin_sweep(
-            w, flag, 0.2, np.array([0.3, 0, 0, 0], dtype=complex),
+        [(records, _)] = galerkin_sweeps(
+            w, flag, [0.2], np.array([0.3, 0, 0, 0], dtype=complex),
             np.array([0.2, 0, 0, 0], dtype=complex), max_quanta=7,
         )
         path = tmp_path / "sweep.csv"
@@ -194,7 +189,7 @@ class TestGalerkinSweeps:
                 expected = element(r.parameter, t)
                 assert abs(r.value - expected) <= 1e-12
                 assert abs(r.abs_error - abs(expected - reference)) <= 1e-12
-            single, single_fit = galerkin_sweep(w, flag, t, alpha, beta, M)
+            [(single, single_fit)] = galerkin_sweeps(w, flag, [t], alpha, beta, M)
             assert [r.value for r in single] == [r.value for r in records]
             assert single_fit == fit
 

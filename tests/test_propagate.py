@@ -9,9 +9,9 @@ from fockprop.propagate import (
     chernoff_propagator,
     chernoff_step,
     coherent_matrix_element,
-    exact_evolution,
     feynman_convergence_table,
     halving_ratios,
+    oracle_elements,
     records_to_csv,
     records_to_json,
 )
@@ -28,7 +28,7 @@ class TestExactEvolution:
         basis = enumerate_basis(1, 5)
         h = wick_quantize(basis, zz())
         np.testing.assert_allclose(
-            exact_evolution(h, 0.0).mat, np.eye(basis.size), atol=1e-12
+            ExactPropagator(h).operator(0.0).mat, np.eye(basis.size), atol=1e-12
         )
 
     def test_number_operator_phases(self):
@@ -36,25 +36,28 @@ class TestExactEvolution:
         h = wick_quantize(basis, zz())
         t = 0.9
         expected = np.diag([np.exp(-1j * n * t) for n in range(6)])
-        np.testing.assert_allclose(exact_evolution(h, t).mat, expected, atol=1e-12)
+        np.testing.assert_allclose(
+            ExactPropagator(h).operator(t).mat, expected, atol=1e-12
+        )
 
     def test_group_law(self):
         basis = enumerate_basis(1, 8)
         h = wick_quantize(basis, zz() + 0.2 * (zz() ** 2))
-        u1, u2 = exact_evolution(h, 0.4).mat, exact_evolution(h, 0.7).mat
-        u12 = exact_evolution(h, 1.1).mat
+        prop = ExactPropagator(h)
+        u1, u2 = prop.operator(0.4).mat, prop.operator(0.7).mat
+        u12 = prop.operator(1.1).mat
         assert np.abs(u1 @ u2 - u12).max() <= 1e-9
 
     def test_unitarity(self):
         basis = enumerate_basis(2, 6)
         h = wick_quantize(basis, zz(2) + conj_variable(2, 2) * variable(2, 2))
-        u = exact_evolution(h, 1.7).mat
+        u = ExactPropagator(h).operator(1.7).mat
         assert np.abs(u.conj().T @ u - np.eye(basis.size)).max() <= 1e-10
 
     def test_rejects_non_hermitian(self):
         basis = enumerate_basis(1, 3)
         with pytest.raises(ValueError, match="Hermitian"):
-            exact_evolution(OperatorMatrix(basis, np.diag([1j, 0, 0, 0])), 1.0)
+            ExactPropagator(OperatorMatrix(basis, np.diag([1j, 0, 0, 0])))
 
     def test_apply_matches_operator(self):
         basis = enumerate_basis(1, 6)
@@ -162,6 +165,22 @@ class TestSectors:
         cplx = ExactPropagator(SECTOR_CASES["i-zstar-minus-i-z"][0]())
         assert [v.dtype for _, _, v in real.sectors] == [np.float64]
         assert [v.dtype for _, _, v in cplx.sectors] == [np.complex128]
+
+
+class TestOracleElements:
+    @pytest.mark.parametrize("name", ["coupled-quartic", "i-zstar-minus-i-z"])
+    def test_match_dense_unitary_elements(self, name):
+        # a real Hamiltonian of two parity sectors, and a complex Hermitian one
+        h = SECTOR_CASES[name][0]()
+        d = h.basis.modes
+        alpha = np.array([0.3 + 0.1j] + [0.1j] * (d - 1))
+        beta = np.array([0.2 - 0.1j] + [-0.1] * (d - 1))
+        times = [0.0, 0.3, 1.7]
+        prop = ExactPropagator(h)
+        got = oracle_elements(h, alpha, beta, times)
+        for t, value in zip(times, got):
+            expected = coherent_matrix_element(prop.operator(t), alpha, beta)
+            assert abs(value - expected) <= 1e-12
 
 
 class TestChernoffPropagator:
