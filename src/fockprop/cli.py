@@ -24,6 +24,7 @@ import numpy as np
 from . import __version__
 from .fock import FockBasis, ccr_defect, check_coherent_tail, coherent_vector
 from .galerkin import (
+    ERROR_FLOOR,
     BudgetError,
     Flag,
     check_dense_budget,
@@ -534,7 +535,8 @@ def _run_galerkin_sweep(run, rng):
         symbol, run["flag"], times, alpha, beta, run["M"], route=run["route"],
     )
     records, fit = sweeps[0]
-    errors = [r.abs_error for r in records]
+    # errors at or below the floor are round-off: they count as 0, as in the fit
+    errors = [r.abs_error if r.abs_error > ERROR_FLOOR else 0.0 for r in records]
     decreasing = all(b < a for a, b in zip(errors, errors[1:]))
     steep = fit.exact or (fit.slope is not None and fit.slope <= threshold)
     checks = [
@@ -553,6 +555,7 @@ def _run_galerkin_sweep(run, rng):
         "galerkin_fit.json": lambda path: _write_json(path, fit_json),
     }
     timings = {f"n={r.parameter}": r.seconds for r in records}
+    timings["reference"] = sweeps.reference_seconds
 
     if scaling:
         (base_records, _), (scaled_records, _) = sweeps[1:]

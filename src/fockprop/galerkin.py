@@ -44,6 +44,7 @@ __all__ = [
     "RateFit",
     "fit_rate",
     "reduce_hamiltonian",
+    "Sweeps",
     "galerkin_sweeps",
     "EvolveResult",
     "schrodinger_evolve",
@@ -154,6 +155,15 @@ def reduce_hamiltonian(
     raise ValueError(f"unknown route {route!r}")
 
 
+class Sweeps(list):
+    """galerkin_sweeps' result: one (records, fit) pair per time, and the
+    d_max reference's build and element time for all times together."""
+
+    def __init__(self, reference_seconds: float):
+        super().__init__()
+        self.reference_seconds = reference_seconds
+
+
 def galerkin_sweeps(
     w: PolySymbol,
     flag: Flag,
@@ -162,20 +172,22 @@ def galerkin_sweeps(
     beta,
     max_quanta: int,
     route: str = "wick",
-) -> list[tuple[list[ConvergenceRecord], RateFit]]:
+) -> Sweeps:
     """Coherent-element errors of the reduced evolutions vs the d_max
     reference, one (records, fit) pair per time.
 
     For each n in the flag, H_n is built on the n-mode basis and its
     elements <F_a, exp(-i H_n t) F_b> at the probes projected to the first
-    n modes come from one oracle_elements call: one decomposition for all
-    times, one propagated vector per time.  The d_max reference at the same
-    quanta cutoff is built the same way, and each record's error is taken
-    against the reference at its own time.  The fit is a measurement; no
-    slope is judged here.
+    n modes come from one oracle_elements call, which takes each symmetry
+    sector and time by Lanczos or by one eigh shared by the times on that
+    route; an element does not depend on the other times.  The d_max
+    reference at the same quanta cutoff is built the same way, and each
+    record's error is taken against the reference at its own time.  The fit
+    is a measurement; no slope is judged here.
 
-    A record's `seconds` is its member's build, decomposition and element
-    time for all times together, so every time reports the same value.
+    A record's `seconds` is its member's build and element time for all
+    times together, so every time reports the same value; the result's
+    `reference_seconds` is the same for the d_max reference.
     """
     if flag.d_max != w.modes:
         raise ValueError(f"flag d_max={flag.d_max} but symbol has {w.modes} modes")
@@ -191,10 +203,10 @@ def galerkin_sweeps(
         values = oracle_elements(h_n, a_full[:n], b_full[:n], times)
         return n, values, time.perf_counter() - start
 
-    _, reference, _ = member(w.modes)
+    _, reference, reference_seconds = member(w.modes)
     members = [member(n) for n in flag.ns]
 
-    sweeps = []
+    sweeps = Sweeps(reference_seconds)
     for k, ref in enumerate(reference):
         records = [
             ConvergenceRecord(

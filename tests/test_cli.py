@@ -2,6 +2,7 @@ import json
 import math
 import re
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fockprop.benchmarks
+import fockprop.cli
 import fockprop.propagate
 from fockprop import PolySymbol
 from fockprop.benchmarks import coupled_quartic, quartic_oscillator, standard_configs
@@ -28,6 +30,7 @@ from fockprop.cli import (
     validate_config,
 )
 from fockprop.fock import FockBasis
+from fockprop.galerkin import ERROR_FLOOR, galerkin_sweeps
 from fockprop.propagate import chernoff_step, feynman_convergence_table
 from fockprop.quantize import gauss_hermite_rule
 from fockprop.symbols import conj_variable, from_term_list, to_term_list, variable
@@ -267,6 +270,13 @@ class TestRunKinds:
         fit = json.loads((tmp_path / "galerkin_fit.json").read_text())
         assert fit["pass"]
 
+    def test_galerkin_timings_hold_the_reference(self, tmp_path):
+        cfg = dict(standard_configs()["galerkin_sweep"], M=6)
+        run_config(cfg, tmp_path)
+        timings = json.loads((tmp_path / "timings.json").read_text())
+        assert timings["reference"] > 0
+        assert {f"n={n}" for n in cfg["flag"]} < set(timings)
+
     def test_galerkin_sweep_antiwick_route(self, tmp_path):
         cfg = standard_configs()["galerkin_sweep"].copy()
         cfg["M"] = 6
@@ -320,6 +330,34 @@ class TestRateSlopeCheck:
         assert fit["samples"] == [[1, 0.0], [2, 0.0]]
         assert passed == {"errors-strictly-decreasing": False, "rate-slope": True}
         assert fit["exact"] and fit["pass"] is True
+
+    def test_mode_one_symbol_at_equal_probes(self, tmp_path):
+        # alpha = beta: the errors are at most round-off, and fail the
+        # decrease check as exact zeros do
+        zz = conj_variable(3, 1) * variable(3, 1)
+        probe = [[0.3, 0.0], [0.0, 0.0], [0.0, 0.0]]
+        code, passed, fit = self.sweep(tmp_path, dict(
+            GALERKIN, d=3, M=6, flag=[1, 2], symbol=to_term_list(zz + 0.1 * zz**2),
+            probes=[{"alpha": probe, "beta": probe}],
+        ))
+        assert code == EXIT_CHECK_FAILED
+        assert all(e <= ERROR_FLOOR for _, e in fit["samples"])
+        assert passed == {"errors-strictly-decreasing": False, "rate-slope": True}
+
+    def test_errors_below_floor_are_no_decrease(self, tmp_path, monkeypatch):
+        # strictly decreasing round-off, as a sweep may return it, counts as
+        # zeros: the decrease check fails
+        def round_off(*args, **kwargs):
+            sweeps = galerkin_sweeps(*args, **kwargs)
+            records, fit = sweeps[0]
+            sweeps[0] = ([replace(r, abs_error=e)
+                          for r, e in zip(records, [2.2e-16, 3.5e-18])], fit)
+            return sweeps
+
+        monkeypatch.setattr(fockprop.cli, "galerkin_sweeps", round_off)
+        code, passed, _ = self.sweep(tmp_path, dict(GALERKIN, M=6, flag=[1, 2]))
+        assert code == EXIT_CHECK_FAILED
+        assert not passed["errors-strictly-decreasing"]
 
 
 class TestChernoffTable:

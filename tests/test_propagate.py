@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fockprop.benchmarks import coupled_quartic, quartic_oscillator
 from fockprop.fock import OperatorMatrix, enumerate_basis
@@ -181,6 +183,115 @@ class TestOracleElements:
         for t, value in zip(times, got):
             expected = coherent_matrix_element(prop.operator(t), alpha, beta)
             assert abs(value - expected) <= 1e-12
+
+
+class TestOracleElementRoutes:
+    """oracle_elements takes a sector and time by Lanczos or by eigh; both
+    agree with the dense unitary, and an element ignores the other times."""
+
+    @staticmethod
+    def exact(h, alpha, beta, t):
+        return coherent_matrix_element(ExactPropagator(h).operator(t), alpha, beta)
+
+    @staticmethod
+    def eigh_sizes(monkeypatch):
+        # a Lanczos run decomposes only its small tridiagonal matrices
+        sizes = []
+        eigh = np.linalg.eigh
+
+        def recording(a):
+            sizes.append(len(a))
+            return eigh(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", recording)
+        return sizes
+
+    @given(
+        modes=st.sampled_from([1, 2]),
+        size=st.integers(0, 3),
+        g=st.sampled_from([1, 2, 3]),
+        real=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+        small=st.floats(0.01, 0.3),
+        negative=st.floats(-3.0, -0.01),
+        large=st.floats(5.0, 40.0),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_matches_dense_unitary(self, modes, size, g, real, seed, small,
+                                   negative, large):
+        # a random Hermitian matrix coupling only states of equal quanta
+        # mod g; sectors of 70 to 160 states take small |t| by Lanczos
+        M = (70, 100, 130, 160)[size] if modes == 1 else (11, 13, 15, 16)[size]
+        basis = enumerate_basis(modes, M)
+        n = basis.size
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((n, n))
+        if not real:
+            a = a + 1j * rng.standard_normal((n, n))
+        quanta = basis.total_quanta
+        a[(quanta[:, None] - quanta[None, :]) % g != 0] = 0
+        h = OperatorMatrix(basis, (a + a.conj().T) / (2 * np.sqrt(n)))
+        alpha, beta = rng.uniform(-0.4, 0.4, (2, modes, 2)) @ [1, 1j]
+        times = [0.0, negative, small, large]
+        for t, value in zip(times, oracle_elements(h, alpha, beta, times)):
+            assert abs(value - self.exact(h, alpha, beta, t)) <= 1e-12
+
+    def test_empty_times(self):
+        h = SECTOR_CASES["coupled-quartic"][0]()
+        assert oracle_elements(h, [0.1, 0, 0], [0.2, 0, 0], []) == []
+
+    def test_beta_zero_on_a_sector(self, monkeypatch):
+        # F_0 is the vacuum, so the odd sector adds nothing and is skipped;
+        # the even sector (295 states) takes t = 0.3 by Lanczos
+        h = wick_quantize(enumerate_basis(4, 8), coupled_quartic())
+        alpha, beta = [0.35, 0.1j, 0, 0], [0, 0, 0, 0]
+        sizes = self.eigh_sizes(monkeypatch)
+        [value] = oracle_elements(h, alpha, beta, [0.3])
+        assert max(sizes) < 100
+        monkeypatch.undo()
+        assert abs(value - self.exact(h, alpha, beta, 0.3)) <= 1e-12
+
+    def test_breakdown_before_step_limit(self, monkeypatch):
+        # three distinct eigenvalues: the Krylov space of any start has
+        # dimension 3, and the recurrence stops there, exactly
+        basis = enumerate_basis(1, 99)
+        rng = np.random.default_rng(11)
+        q, _ = np.linalg.qr(rng.standard_normal((100, 100)))
+        lam = rng.choice([-1.0, 0.5, 2.0], 100)
+        mat = (q * lam) @ q.T
+        h = OperatorMatrix(basis, (mat + mat.T) / 2)
+        alpha, beta = [0.6 + 0.2j], [0.4 - 0.3j]
+        sizes = self.eigh_sizes(monkeypatch)
+        values = oracle_elements(h, alpha, beta, [0.1, -0.1])
+        assert sizes == [3]
+        monkeypatch.undo()
+        for t, value in zip([0.1, -0.1], values):
+            assert abs(value - self.exact(h, alpha, beta, t)) <= 1e-12
+
+    def test_rejects_non_hermitian(self):
+        # the defect inside a sector block is the whole matrix's defect
+        h = SECTOR_CASES["coupled-quartic"][0]()
+        mat = h.mat.copy()
+        mat[0, 4] += 1e-6  # states of 0 and 2 quanta: one parity sector
+        bad = OperatorMatrix(h.basis, mat)
+        message = f"matrix is not Hermitian: defect {bad.hermitian_defect():.3g}"
+        with pytest.raises(ValueError, match=message):
+            oracle_elements(bad, [0.1, 0, 0], [0.2, 0, 0], [0.3])
+        with pytest.raises(ValueError, match=message):
+            ExactPropagator(bad)
+
+    def test_element_ignores_other_times(self, monkeypatch):
+        # t = 0.3 takes both sectors by Lanczos; 1.7 takes the larger by eigh
+        h = wick_quantize(enumerate_basis(4, 8), coupled_quartic())
+        alpha, beta = [0.35, 0.1j, 0, 0], [0.25 + 0.15j, 0, -0.1, 0]
+        sizes = self.eigh_sizes(monkeypatch)
+        [single] = oracle_elements(h, alpha, beta, [0.3])
+        assert max(sizes) < 100
+        _, middle, _ = oracle_elements(h, alpha, beta, [0.05, 0.3, 1.7])
+        assert 295 in sizes
+        assert middle == single
+        monkeypatch.undo()
+        assert abs(single - self.exact(h, alpha, beta, 0.3)) <= 1e-12
 
 
 class TestChernoffPropagator:
