@@ -562,7 +562,7 @@ def _run_galerkin_sweep(run, rng):
         ratios = {}
         in_window = True
         for base, scaled in zip(base_records, scaled_records):
-            if base.abs_error > 1e-12:
+            if base.abs_error > ERROR_FLOOR:
                 ratio = scaled.abs_error / base.abs_error
                 ratios[str(base.parameter)] = ratio
                 in_window = in_window and lo <= ratio <= hi

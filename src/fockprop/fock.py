@@ -4,15 +4,15 @@ States are occupation vectors (n_1 .. n_d) enumerated in graded
 lexicographic order (by total quanta, then first mode heaviest), which
 pins down serialization.  Ladder operators, multiplicative and tangential
 second quantization of one-particle operators, and truncated coherent
-vectors are all realized as dense complex matrices / vectors over this
-basis.
+vectors are all realized as dense real or complex matrices / vectors over
+this basis.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -43,16 +43,6 @@ __all__ = [
 ]
 
 
-def _occupations(total: int, modes: int) -> Iterator[tuple[int, ...]]:
-    # First mode takes the largest share first: (q,0,..), .., (0,..,q).
-    if modes == 1:
-        yield (total,)
-        return
-    for head in range(total, -1, -1):
-        for rest in _occupations(total - head, modes - 1):
-            yield (head,) + rest
-
-
 class FockBasis:
     """Occupation-number basis of the truncated d-mode space."""
 
@@ -63,18 +53,25 @@ class FockBasis:
             raise ValueError("max_quanta must be >= 0")
         self.modes = modes
         self.max_quanta = max_quanta
-        states: list[tuple[int, ...]] = []
-        for q in range(max_quanta + 1):
-            states.extend(_occupations(q, modes))
-        self.states: tuple[tuple[int, ...], ...] = tuple(states)
-        self.occupations = np.array(states, dtype=np.int64)
-        self.total_quanta = self.occupations.sum(axis=1)
         # _below[m, s]: number of m-mode states with total quanta < s
         self._below = np.array(
             [[math.comb(s - 1 + m, m) if s else 0 for s in range(max_quanta + 1)]
              for m in range(modes + 1)],
             dtype=np.int64,
         )
+        # the states in order, by inverting rank one mode at a time (no
+        # recursion over the modes): from m = d down, the quanta s of the
+        # last m modes is the largest s with _below[m, s] <= what is left
+        left = np.arange(math.comb(max_quanta + modes, modes))
+        occ = np.empty((len(left), modes), dtype=np.int64)
+        for k in range(modes):
+            below = self._below[modes - k]
+            occ[:, k] = np.searchsorted(below, left, side="right") - 1
+            left -= below[occ[:, k]]
+        occ[:, :-1] -= occ[:, 1:]  # suffix sums to occupations
+        self.occupations = occ
+        self.states: tuple[tuple[int, ...], ...] = tuple(map(tuple, occ.tolist()))
+        self.total_quanta = occ.sum(axis=1)
         assert len(self.states) == math.comb(max_quanta + modes, modes)
 
     @property
@@ -133,13 +130,15 @@ def enumerate_basis(modes: int, max_quanta: int) -> FockBasis:
 
 @dataclass(frozen=True)
 class OperatorMatrix:
-    """Dense complex matrix over a FockBasis; treated as immutable."""
+    """Dense real or complex matrix over a FockBasis; treated as immutable."""
 
     basis: FockBasis
     mat: np.ndarray
 
     def __post_init__(self):
-        mat = np.ascontiguousarray(self.mat, dtype=complex)
+        mat = np.ascontiguousarray(
+            self.mat, dtype=complex if np.iscomplexobj(self.mat) else float
+        )
         if mat.shape != (self.basis.size, self.basis.size):
             raise ValueError(
                 f"matrix shape {mat.shape} does not match basis size {self.basis.size}"
@@ -148,10 +147,7 @@ class OperatorMatrix:
         object.__setattr__(self, "mat", mat)
 
     def hermitian_defect(self) -> float:
-        # a matrix with no imaginary entry gives the same value from its
-        # real part, without the complex temporaries
-        m = self.mat if self.mat.imag.any() else self.mat.real
-        return float(np.abs(m - m.conj().T).max())
+        return float(np.abs(self.mat - self.mat.conj().T).max())
 
     @property
     def is_hermitian(self) -> bool:
@@ -186,7 +182,7 @@ def annihilator(basis: FockBasis, mode: int) -> OperatorMatrix:
     cols = np.nonzero(basis.occupations[:, i] > 0)[0]
     lowered = basis.occupations[cols]
     lowered[:, i] -= 1
-    mat = np.zeros((basis.size, basis.size), dtype=complex)
+    mat = np.zeros((basis.size, basis.size))
     mat[basis.rank(lowered), cols] = np.sqrt(basis.occupations[cols, i])
     return OperatorMatrix(basis, mat)
 
@@ -303,13 +299,22 @@ def coherent_vector(basis: FockBasis, alpha) -> CoherentVector:
     a = as_phase_point(alpha, basis.modes)
     if not np.all(np.isfinite(a)):
         raise ValueError("coherent amplitude must be finite")
+    # table[n, i] = a_i^n / sqrt(n!), gathered at each mode's occupation
+    table = _coherent_table(np.ones(basis.modes), a, basis.max_quanta)
     comp = np.ones(basis.size, dtype=complex)
     for i in range(basis.modes):
-        exps = basis.occupations[:, i]
-        powers = np.where(exps == 0, 1.0 + 0j, a[i] ** exps)
-        facts = np.array([math.sqrt(math.factorial(int(e))) for e in exps])
-        comp *= powers / facts
+        comp *= table[basis.occupations[:, i], i]
     return CoherentVector(basis=basis, alpha=a, components=comp)
+
+
+def _coherent_table(first: np.ndarray, z: np.ndarray, max_quanta: int) -> np.ndarray:
+    """Rows n = 0..max_quanta of first * z^n / sqrt(n!), one column per z.
+
+    A cumulative product of z / sqrt(n), so no power or factorial is formed
+    and no entry overflows unless its value does.
+    """
+    steps = z[None, :] / np.sqrt(np.arange(1, max_quanta + 1))[:, None]
+    return np.cumprod(np.vstack([first[None, :], steps]), axis=0)
 
 
 def check_coherent_tail(point, max_quanta: int) -> None:

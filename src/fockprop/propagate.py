@@ -89,10 +89,10 @@ class ExactPropagator:
     unitary to working precision.  h is split into the symmetry sectors
     its entries leave invariant (_sectors), and each sector is
     diagonalized and applied on its own; `sectors` holds one (states,
-    eigenvalues, eigenvectors) triple per sector.  A matrix whose
-    imaginary part is exactly zero (such as the quantization of a symbol
-    with real coefficients) is diagonalized as a real symmetric one, and
-    `apply` keeps its real eigenvectors in real arithmetic.
+    eigenvalues, eigenvectors) triple per sector.  A real h (such as the
+    quantization of a symbol with real coefficients) is diagonalized as a
+    real symmetric matrix, a complex one as complex Hermitian, and `apply`
+    keeps real eigenvectors in real arithmetic.
     """
 
     def __init__(self, h: OperatorMatrix):
@@ -160,17 +160,15 @@ def _hermitian_blocks(h: OperatorMatrix) -> list[tuple[np.ndarray, np.ndarray]]:
     """(states, block) per symmetry sector of h, after the Hermitian check.
 
     _sectors proves every entry outside the blocks zero in both directions,
-    so the largest defect over the blocks is h.hermitian_defect().  A
-    matrix with no imaginary entry gives real blocks.  A single sector is
-    the whole basis in order, so its block is the matrix, made contiguous
-    (the real part of a complex matrix is a strided view) for BLAS.
-    Callers pop each block as they reach it, so that a decomposed block is
-    freed before the next one is decomposed.
+    so the largest defect over the blocks is h.hermitian_defect().  Blocks
+    are real or complex as h is.  A single sector is the whole basis in
+    order, so its block is h.mat itself.  Callers pop each block as they
+    reach it, so that a decomposed block is freed before the next one is
+    decomposed.
     """
-    mat = h.mat if h.mat.imag.any() else h.mat.real
-    sectors = _sectors(h.basis, mat)
+    sectors = _sectors(h.basis, h.mat)
     blocks = [
-        (idx, mat[np.ix_(idx, idx)] if len(sectors) > 1 else np.ascontiguousarray(mat))
+        (idx, h.mat[np.ix_(idx, idx)] if len(sectors) > 1 else h.mat)
         for idx in sectors
     ]
     defect = max(float(np.abs(b - b.conj().T).max()) for _, b in blocks)
@@ -226,11 +224,9 @@ def oracle_elements(
             _lanczos_elements(block, a, b, times, krylov, max(-lo, hi), values)
         if not all(krylov):
             lam, v = np.linalg.eigh(block)
-            if v.dtype == complex:
-                pa, pb = (a.conj() @ v).conj(), (b.conj() @ v).conj()
-            else:
-                # v^H x = x v for a real v, kept in real BLAS
-                pa, pb = (x.real @ v + 1j * (x.imag @ v) for x in (a, b))
+            # x v* is v^H x; a real v (v.conj() is v itself) stays in real BLAS
+            vc = v.conj()
+            pa, pb = (x.real @ vc + 1j * (x.imag @ vc) for x in (a, b))
             for k, t in enumerate(times):
                 if not krylov[k]:
                     values[k] += np.vdot(pa, np.exp(-1j * lam * t) * pb)

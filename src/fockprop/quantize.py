@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .fock import FockBasis, OperatorMatrix, checked_coherent_components
+from .fock import FockBasis, OperatorMatrix, _coherent_table, checked_coherent_components
 from .symbols import PolySymbol, as_phase_point, wick_from_antinormal
 
 DEFAULT_ORDER_MARGIN = 2  # default rule order Q = M + 2
@@ -83,7 +83,8 @@ def wick_quantize(basis: FockBasis, w: PolySymbol) -> OperatorMatrix:
     intermediate state leaves the cutoff.  Hermitian iff the symbol is
     real.  The terms are placed in one vectorized pass (_wick_fill), in
     blocks of at most `basis.size` terms so that no (terms, states) table
-    outgrows the matrix; entries accumulate in term order.
+    outgrows the matrix; entries accumulate in term order.  The matrix is
+    real when every kept coefficient is.
     """
     if w.modes != basis.modes:
         raise ValueError(
@@ -95,7 +96,9 @@ def wick_quantize(basis: FockBasis, w: PolySymbol) -> OperatorMatrix:
         (kstar, k, coeff) for (kstar, k), coeff in w.terms.items()
         if max(sum(kstar), sum(k)) <= basis.max_quanta
     ]
-    mat = np.zeros((basis.size, basis.size), dtype=complex)
+    # the ladder elements are sqrt(n): real coefficients fill a real matrix
+    real = all(coeff.imag == 0 for *_, coeff in terms)
+    mat = np.zeros((basis.size, basis.size), dtype=float if real else complex)
     for start in range(0, len(terms), basis.size):
         _wick_fill(basis, terms[start:start + basis.size], mat)
     return OperatorMatrix(basis, mat)
@@ -106,6 +109,7 @@ def _wick_fill(basis: FockBasis, terms: list, mat: np.ndarray) -> None:
     kstar = np.array([t[0] for t in terms], dtype=np.int64)
     k = np.array([t[1] for t in terms], dtype=np.int64)
     coeff = np.array([t[2] for t in terms], dtype=complex)
+    coeff = coeff if np.iscomplexobj(mat) else coeff.real
     occ, top = basis.occupations, basis.max_quanta
 
     # table[t, i, n] = n!/(n-k)! * (n-k+k*)!/(n-k)! for term t, mode i and
@@ -201,8 +205,7 @@ def antiwick_quantize_function(
     # one mode's factor rule: P = Q^2 points, index p = i * Q + j
     z, sqrt_w = rule.mode_nodes, np.sqrt(rule.mode_weights)
     levels = basis.max_quanta + 1
-    steps = z[None, :] / np.sqrt(np.arange(1, levels))[:, None]
-    phi = np.cumprod(np.vstack([sqrt_w[None, :], steps]), axis=0)
+    phi = _coherent_table(sqrt_w, z, basis.max_quanta)
 
     if basis.modes == 1:
         # one mode's sum is the gemm (phi f) phi^H; as a kernel product it

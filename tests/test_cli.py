@@ -592,6 +592,35 @@ class TestValidateRunContract:
             assert list(Path(root).iterdir()) == [out]
 
 
+class TestValidatedExtremesRun:
+    """Cutoffs past the float factorial (171!) and more modes than Python's
+    default recursion limit validate and run to a passing report."""
+
+    @staticmethod
+    def check(tmp_path, cfg):
+        path = write_config(tmp_path, cfg)
+        assert main(["validate", str(path)]) == EXIT_OK
+        assert main(["run", str(path), "--out-dir", str(tmp_path / "out")]) == EXIT_OK
+
+    def test_evolve_at_cutoff_200(self, tmp_path):
+        self.check(tmp_path, dict(standard_configs()["evolve"], M=200))
+
+    def test_chernoff_at_cutoff_180(self, tmp_path):
+        cfg = dict(standard_configs()["chernoff_sweep"], M=180, Q=181, Ns=[8, 16])
+        self.check(tmp_path, cfg)
+
+    def test_evolve_with_1100_modes(self, tmp_path):
+        d = 1100
+        z1, z2 = variable(d, 1), variable(d, 2)
+        c1, c2 = conj_variable(d, 1), conj_variable(d, 2)
+        cfg = dict(
+            standard_configs()["evolve"], d=d, M=1, t_grid=[0.0, 0.5],
+            initial={"type": "vacuum"},
+            symbol=to_term_list(c1 * z1 + 0.5 * (c1 * z2 + c2 * z1)),
+        )
+        self.check(tmp_path, cfg)
+
+
 class TestExitCodes:
     def test_ok(self, tmp_path, capsys):
         cfg = write_config(tmp_path, chernoff_config())

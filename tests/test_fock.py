@@ -19,6 +19,18 @@ from fockprop.fock import (
 )
 
 
+def recursive_occupations(total, modes):
+    """The graded order by its definition: the first mode takes the largest
+    share first, (q, 0, ..), .., (0, .., q), and the rest recurse."""
+    if modes == 1:
+        return [(total,)]
+    return [
+        (head,) + rest
+        for head in range(total, -1, -1)
+        for rest in recursive_occupations(total - head, modes - 1)
+    ]
+
+
 class TestEnumerateBasis:
     def test_single_mode_ladder(self):
         basis = enumerate_basis(1, 3)
@@ -40,6 +52,24 @@ class TestEnumerateBasis:
     def test_rejects_bad_modes(self):
         with pytest.raises(ValueError):
             enumerate_basis(0, 3)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("M", [0, 1, 2, 3, 4, 5, 6])
+    def test_matches_recursive_definition(self, d, M):
+        basis = enumerate_basis(d, M)
+        expected = [s for q in range(M + 1) for s in recursive_occupations(q, d)]
+        assert basis.states == tuple(expected)
+        np.testing.assert_array_equal(basis.occupations, expected)
+        assert basis.occupations.dtype == np.int64
+
+    def test_more_modes_than_the_recursion_limit(self):
+        # one frame per mode would exceed Python's default limit of 1000
+        d = 1100
+        basis = enumerate_basis(d, 1)
+        np.testing.assert_array_equal(
+            basis.occupations, np.vstack([np.zeros(d, dtype=int), np.eye(d, dtype=int)])
+        )
+        np.testing.assert_array_equal(basis.rank(basis.occupations), np.arange(d + 1))
 
 
 class TestRank:
@@ -86,6 +116,11 @@ class TestLadderOperators:
         for mode in (1, 2):
             a = annihilator(basis, mode).mat
             np.testing.assert_array_equal(creator(basis, mode).mat, a.conj().T)
+
+    def test_ladder_matrices_are_real(self):
+        basis = enumerate_basis(2, 4)
+        for op in (annihilator(basis, 2), creator(basis, 1)):
+            assert op.mat.dtype == np.float64
 
     def test_mode_out_of_range(self):
         basis = enumerate_basis(2, 2)
@@ -285,6 +320,27 @@ class TestCoherentVector:
         with pytest.raises(ValueError):
             coherent_vector(basis, [np.inf])
 
+    def test_cutoff_past_the_float_factorial(self):
+        # 171! overflows a double; a^n / sqrt(n!) at |a| = 3 stays above 1e-165
+        a = 3.0 * np.exp(0.7j)
+        cv = coherent_vector(enumerate_basis(1, 300), [a])
+        n = np.arange(301)
+        log_abs = n * math.log(abs(a)) - np.array([math.lgamma(k + 1) for k in n]) / 2
+        expected = np.exp(log_abs + 1j * n * np.angle(a))
+        assert np.all(np.isfinite(cv.components))
+        assert np.abs(cv.components / expected - 1).max() <= 1e-12
+
+    def test_components_are_the_product_formula(self):
+        basis = enumerate_basis(3, 5)
+        a = np.array([0.4 + 0.2j, -0.3, 0.5j])
+        expected = [
+            np.prod([a[i] ** n / math.sqrt(math.factorial(n)) for i, n in enumerate(s)])
+            for s in basis.states
+        ]
+        np.testing.assert_allclose(
+            coherent_vector(basis, a).components, expected, rtol=1e-14, atol=0
+        )
+
 
 class TestTailBound:
     def test_monotone_in_cutoff(self):
@@ -323,6 +379,22 @@ class TestOperatorMatrix:
         op = OperatorMatrix(basis, np.eye(3))
         with pytest.raises(ValueError):
             op.mat[0, 0] = 5.0
+
+    def test_keeps_real_and_complex_dtypes(self):
+        basis = enumerate_basis(1, 2)
+        cases = [
+            (np.eye(3), np.float64),
+            (np.eye(3, dtype=complex), np.complex128),
+            (np.eye(3, dtype=int), np.float64),
+            (np.eye(3, dtype=bool), np.float64),
+        ]
+        for mat, dtype in cases:
+            op = OperatorMatrix(basis, mat)
+            assert op.mat.dtype == dtype
+            assert op.mat.flags.c_contiguous and not op.mat.flags.writeable
+            np.testing.assert_array_equal(op.mat, np.eye(3))
+        # a transposed view is made contiguous
+        assert OperatorMatrix(basis, np.triu(np.ones((3, 3))).T).mat.flags.c_contiguous
 
     def test_matmul_requires_same_basis(self):
         op1 = OperatorMatrix(enumerate_basis(1, 2), np.eye(3))

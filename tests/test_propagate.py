@@ -8,6 +8,7 @@ from fockprop.fock import OperatorMatrix, enumerate_basis
 from fockprop.propagate import (
     ExactPropagator,
     SliceSchedule,
+    _hermitian_blocks,
     chernoff_propagator,
     chernoff_step,
     coherent_matrix_element,
@@ -162,6 +163,13 @@ class TestSectors:
         np.testing.assert_array_equal(states, np.arange(h.basis.size))
         TestRealArithmetic.check_against_reference(h)
 
+    def test_single_real_sector_block_is_the_matrix(self):
+        h = SECTOR_CASES["z-plus-zstar"][0]()
+        [(states, block)] = _hermitian_blocks(h)
+        assert h.mat.dtype == np.float64
+        assert block is h.mat
+        np.testing.assert_array_equal(states, np.arange(h.basis.size))
+
     def test_path_choice_is_per_matrix(self):
         real = ExactPropagator(SECTOR_CASES["z-plus-zstar"][0]())
         cplx = ExactPropagator(SECTOR_CASES["i-zstar-minus-i-z"][0]())
@@ -231,6 +239,7 @@ class TestOracleElementRoutes:
         quanta = basis.total_quanta
         a[(quanta[:, None] - quanta[None, :]) % g != 0] = 0
         h = OperatorMatrix(basis, (a + a.conj().T) / (2 * np.sqrt(n)))
+        assert h.mat.dtype == (np.float64 if real else np.complex128)
         alpha, beta = rng.uniform(-0.4, 0.4, (2, modes, 2)) @ [1, 1j]
         times = [0.0, negative, small, large]
         for t, value in zip(times, oracle_elements(h, alpha, beta, times)):

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fockprop.benchmarks import coupled_quartic
+from fockprop.benchmarks import coupled_quartic, quartic_oscillator
 from fockprop.fock import enumerate_basis
 from fockprop.quantize import (
     antiwick_quantize_function,
@@ -236,6 +236,33 @@ class TestWickFill:
     @staticmethod
     def check(basis, w):
         assert np.array_equal(wick_quantize(basis, w).mat, wick_quantize_per_term(basis, w))
+
+
+class TestWickDtype:
+    """Real coefficients fill a real matrix, equal to the complex reference."""
+
+    @pytest.mark.parametrize(
+        "d, M, w",
+        [(4, 8, coupled_quartic()), (1, 10, quartic_oscillator())],
+        ids=["coupled-quartic", "quartic-oscillator"],
+    )
+    def test_real_coefficients_give_float64(self, d, M, w):
+        basis = enumerate_basis(d, M)
+        mat = wick_quantize(basis, w).mat
+        assert mat.dtype == np.float64
+        assert np.array_equal(mat, wick_quantize_per_term(basis, w))
+
+    def test_antiwick_poly_of_a_real_symbol_is_real(self):
+        h = antiwick_quantize_poly(enumerate_basis(1, 10), quartic_oscillator())
+        assert h.mat.dtype == np.float64
+
+    def test_imaginary_coefficients_stay_complex(self):
+        # i z* - i z is real-valued, but its coefficients are not real
+        basis = enumerate_basis(1, 6)
+        w = 1j * conj_variable(1, 1) - 1j * variable(1, 1)
+        mat = wick_quantize(basis, w).mat
+        assert mat.dtype == np.complex128
+        assert np.array_equal(mat, wick_quantize_per_term(basis, w))
 
 
 class TestWickSymbolOracle:
