@@ -3,19 +3,30 @@
 A symbol is a finite complex polynomial in the 2d variables
 (z*_1 .. z*_d, z_1 .. z_d).  Normal-ordered and anti-normal-ordered
 operator symbols both live in this representation; the two calculi are
-connected by the heat flow of the mode Laplacian sum_i d^2/dz*_i dz_i,
-which on polynomials truncates to a finite series.
+connected by the heat flow exp(+-L) of the mode Laplacian
+L = sum_i d^2/dz*_i dz_i, which on polynomials truncates to a finite
+series.  The conversions expand that series in closed form, term by term:
+on one mode exp(+-d^2/dz*dz) z*^a z^b is
+sum_j (+-1)^j j! C(a,j) C(b,j) z*^(a-j) z^(b-j) (Cahill & Glauber 1969;
+Berezin 1966), and over several modes it is the product of the one-mode
+sums, since the mode Laplacians commute.  `gross_laplacian` applies L
+itself and is the reference the series is checked against.
 
 Terms are keyed by exponent pairs (kstar, k), each a length-d tuple of
 non-negative ints.  Coefficients are complex doubles; exact zeros are
 never stored, and terms are kept in graded-lexicographic order on the
-concatenated (kstar, k) so that serialization is byte-stable.
+concatenated (kstar, k) so that serialization is byte-stable.  The public
+constructor checks every key; the algebra in this module builds keys that
+are valid by construction and skips those checks.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import itertools
 import json
+import math
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Mapping
@@ -83,11 +94,23 @@ class PolySymbol:
             c = complex(coeff)
             if c != 0:
                 merged[(kstar, k)] = merged.get((kstar, k), 0j) + c
-        merged = {key: c for key, c in merged.items() if c != 0}
+        self._set(modes, merged)
+
+    def _set(self, modes: int, merged: Mapping[TermKey, complex]) -> None:
+        # 0j + c turns a signed zero part into +0.0, so equal symbols
+        # serialize to the same bytes however they were built
+        terms = [(key, 0j + complex(c)) for key, c in merged.items() if c != 0]
         object.__setattr__(self, "_modes", modes)
-        object.__setattr__(
-            self, "_terms", dict(sorted(merged.items(), key=_term_order))
-        )
+        object.__setattr__(self, "_terms", dict(sorted(terms, key=_term_order)))
+
+    @classmethod
+    def _canonical(cls, modes: int, merged: Mapping[TermKey, complex]) -> "PolySymbol":
+        """Symbol from distinct keys that are already pairs of length-`modes`
+        tuples of non-negative ints, as this module's algebra builds them;
+        the coefficients are normalized and ordered as the constructor does."""
+        s = object.__new__(cls)
+        s._set(modes, merged)
+        return s
 
     def __setattr__(self, name, value):
         raise AttributeError("PolySymbol is immutable")
@@ -107,7 +130,9 @@ class PolySymbol:
         """Total degree; -1 for the zero symbol."""
         if not self._terms:
             return -1
-        return max(sum(ks) + sum(k) for ks, k in self._terms)
+        # graded order puts a term of the highest degree last
+        ks, k = next(reversed(self._terms))
+        return sum(ks) + sum(k)
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -140,12 +165,14 @@ class PolySymbol:
         acc = dict(self._terms)
         for key, c in other._terms.items():
             acc[key] = acc.get(key, 0j) + c
-        return PolySymbol(self.modes, acc)
+        return PolySymbol._canonical(self.modes, acc)
 
     __radd__ = __add__
 
     def __neg__(self) -> "PolySymbol":
-        return PolySymbol(self.modes, {k: -c for k, c in self._terms.items()})
+        return PolySymbol._canonical(
+            self.modes, {k: -c for k, c in self._terms.items()}
+        )
 
     def __sub__(self, other) -> "PolySymbol":
         return self + (-self._coerce(other))
@@ -156,7 +183,7 @@ class PolySymbol:
     def __mul__(self, other) -> "PolySymbol":
         if not isinstance(other, PolySymbol):
             c = complex(other)
-            return PolySymbol(
+            return PolySymbol._canonical(
                 self.modes, {k: c * v for k, v in self._terms.items()}
             )
         other = self._coerce(other)
@@ -168,7 +195,7 @@ class PolySymbol:
                     tuple(a + b for a, b in zip(k1, k2)),
                 )
                 acc[key] = acc.get(key, 0j) + c1 * c2
-        return PolySymbol(self.modes, acc)
+        return PolySymbol._canonical(self.modes, acc)
 
     __rmul__ = __mul__
 
@@ -195,7 +222,7 @@ class PolySymbol:
 
     def adjoint(self) -> "PolySymbol":
         """Symbol of the Hermitian-adjoint operator: swap exponents, conjugate."""
-        return PolySymbol(
+        return PolySymbol._canonical(
             self.modes,
             {(k, ks): c.conjugate() for (ks, k), c in self._terms.items()},
         )
@@ -277,7 +304,7 @@ class PolySymbol:
         powers = np.ones((self.degree + 1, len(z)), dtype=complex)
         for e in range(1, len(powers)):
             powers[e] = powers[e - 1] * z
-        return _grid_values(list(self._terms.items()), 0, powers)
+        return _grid_values(list(self._terms.items()), powers)
 
     def eval_bilinear(self, left, right) -> complex:
         """Evaluate with conjugated exponents taken at `left`, plain at `right`.
@@ -308,22 +335,40 @@ class PolySymbol:
         return " + ".join(bits)
 
 
-def _grid_values(terms: list, mode: int, powers: np.ndarray) -> np.ndarray:
-    # values of the (key, coeff) terms on the grid of modes mode.., whose
-    # exponents in the modes before `mode` all agree
-    groups: dict[tuple[int, int], list] = {}
-    for term in terms:
-        (ks, k), _ = term
-        groups.setdefault((ks[mode], k[mode]), []).append(term)
-    tables = np.stack([powers[a].conj() * powers[b] for a, b in groups], axis=1)
-    if mode == len(ks) - 1:
-        # the last mode's pair completes the key: one term per group
-        rest = np.array([[group[0][1]] for group in groups.values()])
-    else:
-        rest = np.stack(
-            [_grid_values(group, mode + 1, powers) for group in groups.values()]
-        )
-    return (tables @ rest).reshape(-1)
+def _grid_values(terms: list, powers: np.ndarray) -> np.ndarray:
+    # values of the (key, coeff) terms on the grid of every mode.  A frame
+    # holds terms whose exponents agree in the modes before its own, grouped
+    # by their pair in its mode; its values are tables @ rest, where row g of
+    # rest is group g's values on the later modes' grid.  Frames sit on an
+    # explicit stack, one per mode, since a symbol may have more modes than
+    # Python's recursion limit.
+    last = len(terms[0][0][0]) - 1
+
+    def frame(members: list, mode: int):
+        groups: dict[tuple[int, int], list] = {}
+        for term in members:
+            (ks, k), _ = term
+            groups.setdefault((ks[mode], k[mode]), []).append(term)
+        tables = np.stack([powers[a].conj() * powers[b] for a, b in groups], axis=1)
+        return tables, list(groups.values()), []
+
+    stack = [frame(terms, 0)]
+    while True:
+        tables, groups, done = stack[-1]
+        mode = len(stack) - 1
+        if mode == last:
+            # the last mode's pair completes the key: one term per group
+            rest = np.array([[group[0][1]] for group in groups])
+        elif len(done) < len(groups):
+            stack.append(frame(groups[len(done)], mode + 1))
+            continue
+        else:
+            rest = np.stack(done)
+        values = (tables @ rest).reshape(-1)
+        stack.pop()
+        if not stack:
+            return values
+        stack[-1][2].append(values)
 
 
 def variable(modes: int, mode: int) -> PolySymbol:
@@ -358,33 +403,55 @@ def gross_laplacian(s: PolySymbol) -> PolySymbol:
             if a and b:
                 key = (_decrement(ks, i), _decrement(k, i))
                 acc[key] = acc.get(key, 0j) + c * (a * b)
-    return PolySymbol(s.modes, acc)
+    return PolySymbol._canonical(s.modes, acc)
 
 
-def _heat_series(s: PolySymbol, sign: float) -> PolySymbol:
-    total = s
-    cur = s
-    m = 0
-    while not cur.is_zero():
-        m += 1
-        cur = gross_laplacian(cur) * (sign / m)
-        total = total + cur
-    return total
+@functools.lru_cache(maxsize=4096)
+def _reorder_weights(a: int, b: int, sign: int) -> tuple[int, ...]:
+    # coefficients of z*^(a-j) z^(b-j), j = 0..min(a, b), in
+    # exp(sign d^2/dz*dz) z*^a z^b: sign^j / j! * a!/(a-j)! * b!/(b-j)!
+    return tuple(
+        sign**j * math.factorial(j) * math.comb(a, j) * math.comb(b, j)
+        for j in range(min(a, b) + 1)
+    )
+
+
+def _heat_series(s: PolySymbol, sign: int) -> PolySymbol:
+    # exp(sign L) s term by term: the product over modes of the one-mode
+    # closed forms, with exact integer weights
+    acc: dict[TermKey, complex] = {}
+    for (ks, k), c in s.terms.items():
+        active = [i for i in range(s.modes) if ks[i] and k[i]]
+        if not active:
+            acc[(ks, k)] = acc.get((ks, k), 0j) + c
+            continue
+        weights = [_reorder_weights(ks[i], k[i], sign) for i in active]
+        lowered_ks, lowered_k = list(ks), list(k)
+        for steps in itertools.product(*(range(len(w)) for w in weights)):
+            weight = 1
+            for i, w, j in zip(active, weights, steps):
+                weight *= w[j]
+                lowered_ks[i] = ks[i] - j
+                lowered_k[i] = k[i] - j
+            key = (tuple(lowered_ks), tuple(lowered_k))
+            acc[key] = acc.get(key, 0j) + c * weight
+    return PolySymbol._canonical(s.modes, acc)
 
 
 def wick_from_antinormal(a: PolySymbol) -> PolySymbol:
     """Normal symbol of the operator whose anti-normal symbol is `a`.
 
     The heat series sum_m L^m a / m! terminates because each Laplacian
-    application lowers the degree by 2.  Degree is preserved and the
-    difference from `a` has degree lower by at least 2.
+    application lowers the degree by 2; it is summed in closed form, term
+    by term.  Degree is preserved and the difference from `a` has degree
+    lower by at least 2.
     """
-    return _heat_series(a, +1.0)
+    return _heat_series(a, 1)
 
 
 def antinormal_from_wick(w: PolySymbol) -> PolySymbol:
     """Exact inverse of wick_from_antinormal: alternating heat series."""
-    return _heat_series(w, -1.0)
+    return _heat_series(w, -1)
 
 
 def restrict_symbol(s: PolySymbol, n: int) -> PolySymbol:
@@ -396,15 +463,17 @@ def restrict_symbol(s: PolySymbol, n: int) -> PolySymbol:
         for (ks, k), c in s.terms.items()
         if all(ks[i] == 0 and k[i] == 0 for i in range(n, s.modes))
     }
-    return PolySymbol(s.modes, kept)
+    return PolySymbol._canonical(s.modes, kept)
 
 
 def truncate_modes(s: PolySymbol, n: int) -> PolySymbol:
     """Restrict to the first n modes and re-declare the symbol over n modes."""
     if not 1 <= n <= s.modes:
         raise ValueError(f"n={n} out of range 1..{s.modes}")
+    if n == s.modes:
+        return s
     restricted = restrict_symbol(s, n)
-    return PolySymbol(
+    return PolySymbol._canonical(
         n, {(ks[:n], k[:n]): c for (ks, k), c in restricted.terms.items()}
     )
 
@@ -424,10 +493,8 @@ class PhaseGrid:
     def mode_points(self) -> np.ndarray:
         radii = np.linspace(0.0, self.radius, self.radial)
         angles = 2.0 * np.pi * np.arange(self.angular) / self.angular
-        pts = [0j]
-        for r in radii[1:]:
-            pts.extend(r * np.exp(1j * angles))
-        return np.asarray(pts, dtype=complex)
+        rings = radii[1:, None] * np.exp(1j * angles)[None, :]
+        return np.concatenate(([0j], rings.reshape(-1)))
 
 
 def infimum_estimate(s: PolySymbol, grid: PhaseGrid) -> float:
@@ -448,15 +515,18 @@ def random_symbol(
     real: bool = False,
 ) -> PolySymbol:
     """Random polynomial symbol with O(1) complex coefficients."""
+    if modes < 1:
+        raise ValueError("modes must be >= 1")
     acc: dict[TermKey, complex] = {}
+    uniform = np.full(2 * modes, 1.0 / (2 * modes))
     for _ in range(n_terms):
         deg = int(rng.integers(0, max_degree + 1))
-        split = rng.multinomial(deg, np.full(2 * modes, 1.0 / (2 * modes)))
+        split = rng.multinomial(deg, uniform)
         key = (tuple(int(e) for e in split[:modes]),
                tuple(int(e) for e in split[modes:]))
         c = complex(rng.standard_normal(), rng.standard_normal())
         acc[key] = acc.get(key, 0j) + c
-    s = PolySymbol(modes, acc)
+    s = PolySymbol._canonical(modes, acc)
     if real:
         s = (s + s.adjoint()) * 0.5
     return s

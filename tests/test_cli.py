@@ -620,6 +620,18 @@ class TestValidatedExtremesRun:
         )
         self.check(tmp_path, cfg)
 
+    def test_chernoff_with_1500_modes(self, tmp_path):
+        # a one-point rule on the one-state basis (Q = 1, M = 0): the
+        # Chernoff error cannot halve, so the window admits ratio 1
+        d = 1500
+        point = [[0.0, 0.0]] * d
+        cfg = chernoff_config(
+            d=d, M=0, Q=1, halving_window=[0.5, 2.4],
+            symbol=to_term_list(conj_variable(d, 1) * variable(d, 1)),
+            probes=[{"alpha": point, "beta": point}],
+        )
+        self.check(tmp_path, cfg)
+
 
 class TestExitCodes:
     def test_ok(self, tmp_path, capsys):

@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -90,6 +91,14 @@ class TestEvaluateGrid:
         with pytest.raises(ValueError):
             zz(2).evaluate_grid(np.zeros((3, 2)))
 
+    def test_more_modes_than_recursion_limit(self):
+        # one-point grid: a 1500-mode symbol evaluated at one phase point
+        modes = 1500
+        s = zz(modes) + 0.5 * variable(modes, modes)
+        z = np.array([0.3 + 0.4j])
+        expected = s.evaluate(np.full(modes, z[0]))
+        assert s.evaluate_grid(z) == pytest.approx([expected], abs=1e-15)
+
 
 class TestIsReal:
     def test_diagonal_term(self):
@@ -174,9 +183,20 @@ class TestConversion:
         assert max_coeff_difference(back, s) <= 1e-12
 
 
+def laplacian_series(s, sign):
+    """Reference: sum_m (sign L)^m s / m!, one gross_laplacian per order."""
+    total = cur = s
+    m = 0
+    while not cur.is_zero():
+        m += 1
+        cur = gross_laplacian(cur) * (sign / m)
+        total = total + cur
+    return total
+
+
 @st.composite
-def symbols(draw, max_modes=3, max_degree=8, max_terms=6):
-    modes = draw(st.integers(1, max_modes))
+def symbols(draw, max_modes=3, max_degree=8, max_terms=6, min_modes=1):
+    modes = draw(st.integers(min_modes, max_modes))
     n_terms = draw(st.integers(0, max_terms))
     coeff = st.floats(-2.0, 2.0, allow_nan=False)
     terms = {}
@@ -212,6 +232,15 @@ class TestConversionProperties:
     def test_reality_preserved(self, s):
         real = (s + s.adjoint()) * 0.5
         assert wick_from_antinormal(real).is_real()
+
+    @given(symbols())
+    @settings(max_examples=120, deadline=None)
+    def test_closed_form_matches_laplacian_series(self, s):
+        for convert, sign in ((wick_from_antinormal, 1.0), (antinormal_from_wick, -1.0)):
+            got, expected = convert(s), laplacian_series(s, sign)
+            for key in set(got.terms) | set(expected.terms):
+                want = expected.terms.get(key, 0j)
+                assert abs(got.terms.get(key, 0j) - want) <= 1e-12 * max(1.0, abs(want))
 
     @given(symbols(max_modes=2, max_degree=6), symbols(max_modes=2, max_degree=6))
     @settings(max_examples=60, deadline=None)
@@ -262,6 +291,10 @@ class TestRestrict:
         assert got.modes == 1
         assert got == zz()
 
+    def test_truncate_to_every_mode_is_the_symbol(self):
+        s = self.two_mode()
+        assert truncate_modes(s, 2) is s
+
 
 class TestInfimumEstimate:
     def test_number_symbol(self):
@@ -282,6 +315,19 @@ class TestInfimumEstimate:
         grid = PhaseGrid(radius=1.0, radial=5, angular=4)
         with pytest.raises(ValueError):
             infimum_estimate(variable(1, 1), grid)
+
+    @pytest.mark.parametrize("radius,radial,angular",
+                             [(6.0, 25, 16), (1.5, 3, 4), (2.0, 1, 8), (0.7, 5, 1)])
+    def test_mode_points_match_ring_loop(self, radius, radial, angular):
+        radii = np.linspace(0.0, radius, radial)
+        angles = 2.0 * np.pi * np.arange(angular) / angular
+        pts = [0j]
+        for r in radii[1:]:
+            pts.extend(r * np.exp(1j * angles))
+        expected = np.asarray(pts, dtype=complex)
+        got = PhaseGrid(radius, radial, angular).mode_points()
+        assert got.dtype == expected.dtype
+        assert got.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("modes", [1, 2, 3])
     def test_grid_points_in_product_order(self, modes):
@@ -351,3 +397,41 @@ class TestAlgebraBasics:
         s = PolySymbol.monomial((2,), (1,), 1.0 + 2.0j)
         adj = s.adjoint()
         assert adj.terms[((1,), (2,))] == 1.0 - 2.0j
+
+    def test_constructor_rejects_bad_exponents(self):
+        with pytest.raises(ValueError, match="length 2"):
+            PolySymbol(2, {((1,), (0, 1)): 1.0})
+        with pytest.raises(ValueError, match="non-negative"):
+            PolySymbol(1, {((-1,), (0,)): 1.0})
+
+    def test_negation_stores_no_signed_zero(self):
+        (term,) = to_term_list(-zz())
+        assert term["re"] == -1.0 and math.copysign(1.0, term["im"]) == 1.0
+
+
+def assert_canonical(s):
+    """s equals its validated rebuild, serialized byte for byte alike."""
+    rebuilt = PolySymbol(s.modes, dict(s.terms))
+    assert s == rebuilt
+    assert json.dumps(to_term_list(s)) == json.dumps(to_term_list(rebuilt))
+
+
+class TestTrustedConstruction:
+    @given(st.integers(1, 3).flatmap(
+        lambda d: st.tuples(symbols(d, 6, min_modes=d), symbols(d, 6, min_modes=d))
+    ))
+    @settings(max_examples=80, deadline=None)
+    def test_algebra_matches_validated_rebuild(self, pair):
+        s1, s2 = pair
+        results = [s1 + s2, s1 - s2, -s1, s1 * s2, s1 * (0.5 - 2.0j), s1.adjoint(),
+                   wick_from_antinormal(s1), antinormal_from_wick(s1)]
+        results += [restrict_symbol(s1, n) for n in range(s1.modes + 1)]
+        results += [truncate_modes(s1, n) for n in range(1, s1.modes + 1)]
+        for r in results:
+            assert_canonical(r)
+
+    @pytest.mark.parametrize("real", [False, True])
+    def test_random_symbol_matches_validated_rebuild(self, real):
+        rng = np.random.default_rng(31)
+        for _ in range(10):
+            assert_canonical(random_symbol(rng, int(rng.integers(1, 4)), 6, 8, real=real))
