@@ -33,9 +33,7 @@ from .galerkin import (
     sweep_to_csv,
 )
 from .propagate import (
-    chernoff_step,
-    feynman_record,
-    feynman_reference,
+    feynman_convergence_table,
     halving_ratios,
     records_to_csv,
     records_to_json,
@@ -482,23 +480,13 @@ def _run_chernoff_sweep(run, rng):
     d, M, Q, t, ns = run["d"], run["M"], run["Q"], run["t"], run["Ns"]
     window, symbol = run["halving_window"], run["symbol"]
     alpha, beta = run["probe"]
-    basis = FockBasis(d, M)
-    rule = gauss_hermite_rule(d, Q)
-
-    reference = feynman_reference(symbol, t, alpha, beta, basis)
-    # the last N's slice also serves the contractivity check
-    start = time.perf_counter()
-    step = chernoff_step(symbol, t / ns[-1], basis, rule)
-    step_seconds = time.perf_counter() - start
-    records = [
-        feynman_record(symbol, t, n, alpha, beta, basis, rule, reference,
-                       step=step if n == ns[-1] else None)
-        for n in ns
-    ]
+    records = feynman_convergence_table(
+        symbol, t, ns, alpha, beta, FockBasis(d, M), gauss_hermite_rule(d, Q)
+    )
 
     ratios = halving_ratios(records)
     in_window = all(window[0] <= r <= window[1] for _, r in ratios) and bool(ratios)
-    spectral_norm = float(np.linalg.norm(step.mat, ord=2))
+    spectral_norm, reference = records.slice_norm, records.reference
     checks = [
         Check("halving-ratio-window", in_window,
               min((r for _, r in ratios), default=0.0), window[0]),
@@ -519,7 +507,6 @@ def _run_chernoff_sweep(run, rng):
         ),
     }
     timings = {f"N={r.parameter}": r.seconds for r in records}
-    timings[f"N={ns[-1]}"] += step_seconds
     return checks, metrics, artifacts, timings
 
 

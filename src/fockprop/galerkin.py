@@ -266,7 +266,7 @@ def schrodinger_evolve(
     elif method == "chernoff":
         reduced = truncate_modes(w, n)
         rule = gauss_hermite_rule(
-            n, order if order else max_quanta + DEFAULT_ORDER_MARGIN
+            n, order if order is not None else max_quanta + DEFAULT_ORDER_MARGIN
         )
         for t in t_grid:
             if t == 0.0:

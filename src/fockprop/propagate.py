@@ -8,7 +8,9 @@ of the sector size, stopping on the a posteriori error estimate, and by one
 eigh shared by the other times otherwise.  The sliced propagator multiplies
 N copies of the anti-Wick operator of exp(-i f tau), a contraction up to the
 quadrature's resolution defect; its N -> inf limit realizes the evolution
-generated by the anti-Wick quantization of f.
+generated by the anti-Wick quantization of f.  feynman_convergence_table is
+the one table of that limit: a row per N against the oracle element, which
+the table carries with the spectral norm of its last slice.
 """
 
 from __future__ import annotations
@@ -40,13 +42,12 @@ KRYLOV_FRACTION = 0.25
 __all__ = [
     "SliceSchedule",
     "ConvergenceRecord",
+    "ChernoffTable",
     "ExactPropagator",
     "oracle_elements",
     "chernoff_step",
     "chernoff_propagator",
     "coherent_matrix_element",
-    "feynman_reference",
-    "feynman_record",
     "feynman_convergence_table",
     "halving_ratios",
     "records_to_csv",
@@ -80,6 +81,17 @@ class ConvergenceRecord:
     value: complex
     abs_error: float
     seconds: float
+
+
+class ChernoffTable(list):
+    """feynman_convergence_table's rows, with the oracle element they are
+    measured against (`reference`) and the spectral norm of the last row's
+    slice (`slice_norm`); both are None for an empty table."""
+
+    def __init__(self, reference: complex | None = None):
+        super().__init__()
+        self.reference = reference
+        self.slice_norm: float | None = None
 
 
 class ExactPropagator:
@@ -305,7 +317,15 @@ def _lanczos_elements(block, a, b, times, krylov, scale, values) -> None:
 def chernoff_step(
     a: PolySymbol, tau: float, basis: FockBasis, rule: QuadratureRule
 ) -> OperatorMatrix:
-    """One slice operator: anti-Wick quantization of exp(-i a tau)."""
+    """One slice operator: anti-Wick quantization of exp(-i a tau).
+
+    The rule must resolve the identity on the basis, so its order is at
+    least max_quanta + 1.
+    """
+    if rule.order < basis.max_quanta + 1:
+        raise ValueError(
+            f"rule order {rule.order} < max_quanta + 1 = {basis.max_quanta + 1}"
+        )
     if not a.is_real():
         raise ValueError("slice symbol must be real")
     values = a.evaluate_grid(rule.mode_nodes).real
@@ -324,10 +344,6 @@ def chernoff_propagator(
     `step`, if given, is the slice chernoff_step(a, sched.tau, basis, rule)
     already built by the caller.
     """
-    if rule.order < basis.max_quanta + 1:
-        raise ValueError(
-            f"rule order {rule.order} < max_quanta + 1 = {basis.max_quanta + 1}"
-        )
     if step is None:
         step = chernoff_step(a, sched.tau, basis, rule)
     return OperatorMatrix(
@@ -346,42 +362,6 @@ def coherent_matrix_element(op: OperatorMatrix, alpha, beta) -> complex:
     return complex(np.vdot(fa, op.mat @ fb))
 
 
-def feynman_reference(
-    a: PolySymbol, t: float, alpha, beta, basis: FockBasis
-) -> complex:
-    """Spectral-oracle coherent element of exp(-i A t), A the anti-Wick
-    quantization of `a`: the generator the anti-normal slicing converges to.
-    One oracle_elements call, so no dense unitary is formed."""
-    return oracle_elements(antiwick_quantize_poly(basis, a), alpha, beta, [t])[0]
-
-
-def feynman_record(
-    a: PolySymbol,
-    t: float,
-    n: int,
-    alpha,
-    beta,
-    basis: FockBasis,
-    rule: QuadratureRule,
-    reference: complex,
-    step: OperatorMatrix | None = None,
-) -> ConvergenceRecord:
-    """One table row: the n-slice propagator's coherent element vs `reference`.
-
-    `step` is passed to chernoff_propagator: the slice for tau = t / n, if
-    the caller has built it.
-    """
-    start = time.perf_counter()
-    prop = chernoff_propagator(a, SliceSchedule(t, n), basis, rule, step=step)
-    value = coherent_matrix_element(prop, alpha, beta)
-    return ConvergenceRecord(
-        parameter=n,
-        value=value,
-        abs_error=abs(value - reference),
-        seconds=time.perf_counter() - start,
-    )
-
-
 def feynman_convergence_table(
     a: PolySymbol,
     t: float,
@@ -390,22 +370,33 @@ def feynman_convergence_table(
     beta,
     basis: FockBasis,
     rule: QuadratureRule,
-) -> list[ConvergenceRecord]:
+) -> ChernoffTable:
     """Sliced-propagator coherent elements vs the spectral oracle, per N.
 
-    One feynman_reference, then one feynman_record per N.  Ns must be
-    ascending.
+    The reference is the oracle element of exp(-i A t), A the anti-Wick
+    quantization of `a`, from one oracle_elements call.  Each row builds
+    its slice, takes its N-th power and the element; its `seconds` covers
+    all three.  Ns must be ascending.
     """
     Ns = list(Ns)
     if any(n2 <= n1 for n1, n2 in zip(Ns, Ns[1:])):
         raise ValueError("Ns must be strictly ascending")
     if not Ns:
-        return []
-    reference = feynman_reference(a, t, alpha, beta, basis)
-    return [
-        feynman_record(a, t, n, alpha, beta, basis, rule, reference)
-        for n in Ns
-    ]
+        return ChernoffTable()
+    reference = oracle_elements(antiwick_quantize_poly(basis, a), alpha, beta, [t])[0]
+    table = ChernoffTable(reference=reference)
+    for n in Ns:
+        start = time.perf_counter()
+        sched = SliceSchedule(t, n)
+        step = chernoff_step(a, sched.tau, basis, rule)
+        value = coherent_matrix_element(
+            chernoff_propagator(a, sched, basis, rule, step=step), alpha, beta
+        )
+        table.append(ConvergenceRecord(
+            n, value, abs(value - reference), time.perf_counter() - start
+        ))
+    table.slice_norm = float(np.linalg.norm(step.mat, ord=2))
+    return table
 
 
 def halving_ratios(records: Sequence[ConvergenceRecord]) -> list[tuple[int, float]]:

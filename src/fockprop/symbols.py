@@ -546,6 +546,10 @@ def from_term_list(data, modes: int | None = None) -> PolySymbol:
     if modes is None and not data:
         raise ValueError("cannot infer mode count from an empty term list")
     acc: dict[TermKey, complex] = {}
+    # PolySymbol's key checks, made here so each key is checked once; as
+    # there, the first bad key's message waits until every term's types
+    # and the mode count have passed
+    key_error = None
     for i, term in enumerate(data):
         if not isinstance(term, dict):
             raise ValueError(f"term {i} is not an object")
@@ -561,17 +565,28 @@ def from_term_list(data, modes: int | None = None) -> PolySymbol:
                 raise ValueError(f"term {i} '{field}' must be a number")
         for field in ("kstar", "k"):
             exponents = term.get(field)
-            # json integers only: a float or bool exponent would truncate to an int
+            # json integers only: a float or bool exponent would truncate to
+            # an int; checked per distinct type, not per exponent
             if not isinstance(exponents, list) or not all(
-                isinstance(e, int) and not isinstance(e, bool) for e in exponents
+                issubclass(kind, int) and not issubclass(kind, bool)
+                for kind in set(map(type, exponents))
             ):
                 raise ValueError(f"term {i} missing integer list '{field}'")
         key = (tuple(term["kstar"]), tuple(term["k"]))
+        if modes is None:
+            modes = len(key[0])
+        if key_error is None:
+            if len(key[0]) != modes or len(key[1]) != modes:
+                key_error = f"exponent tuples must have length {modes}"
+            elif min(key[0] + key[1], default=0) < 0:
+                key_error = "exponents must be non-negative"
         c = complex(float(term.get("re", 0.0)), float(term.get("im", 0.0)))
         acc[key] = acc.get(key, 0j) + c
-    if modes is None:
-        modes = len(data[0]["kstar"])
-    return PolySymbol(modes, acc)
+    if modes < 1:
+        raise ValueError("modes must be >= 1")
+    if key_error:
+        raise ValueError(key_error)
+    return PolySymbol._canonical(modes, acc)
 
 
 def symbol_digest(s: PolySymbol) -> str:

@@ -444,6 +444,12 @@ RUN_PRECONDITIONS = [
     ("bool-exponent", "symbol",
      chernoff_config(symbol=[{"kstar": [1], "k": [True], "re": 1.0, "im": 0.0}]),
      "integer list 'k'"),
+    ("negative-exponent", "symbol",
+     chernoff_config(symbol=[{"kstar": [1], "k": [-1], "re": 1.0, "im": 0.0}]),
+     "exponents must be non-negative"),
+    ("exponent-length", "symbol",
+     chernoff_config(symbol=[{"kstar": [1, 0], "k": [1, 0], "re": 1.0, "im": 0.0}]),
+     "exponent tuples must have length 1"),
     ("bool-Ns", "Ns", chernoff_config(Ns=[True, 2]), "positive integers"),
     ("bool-flag", "flag", dict(GALERKIN, flag=[True, 2]), "positive integers"),
     ("string-coefficient", "symbol",

@@ -277,6 +277,14 @@ class TestSchrodingerEvolve:
         )
         assert max(result.norm_defects) <= 1e-3
 
+    def test_chernoff_order_zero_is_refused(self):
+        # 0 is an order, not a request for the default M + 2
+        basis = enumerate_basis(1, 4)
+        psi0 = np.zeros(basis.size, dtype=complex)
+        psi0[0] = 1.0
+        with pytest.raises(ValueError, match="order must be >= 1"):
+            schrodinger_evolve(zz(1), 1, psi0, [0.1], 4, order=0, method="chernoff")
+
     def test_rejects_unnormalized_initial(self):
         basis = enumerate_basis(1, 4)
         with pytest.raises(ValueError, match="norm"):

@@ -353,6 +353,11 @@ class TestChernoffPropagator:
         with pytest.raises(ValueError, match="order"):
             chernoff_propagator(zz(), SliceSchedule(0.1, 2), basis, rule)
 
+    def test_step_rejects_inadequate_rule(self):
+        # refused before the quadrature, so a table pays none for it
+        with pytest.raises(ValueError, match="order"):
+            chernoff_step(zz(), 0.1, enumerate_basis(1, 10), gauss_hermite_rule(1, 6))
+
 
 class TestSliceSchedule:
     def test_tau(self):
@@ -424,6 +429,28 @@ class TestConvergenceTable:
         assert feynman_convergence_table(
             zz(), 0.5, [], [0.1], [0.1], basis, rule
         ) == []
+
+    def test_table_carries_reference_and_slice_norm(self):
+        basis = enumerate_basis(1, 8)
+        rule = gauss_hermite_rule(1, 10)
+        a, t, Ns = quartic_oscillator(), 0.4, [4, 8]
+        alpha, beta = np.array([0.2 + 0j]), np.array([0.1 + 0.1j])
+        table = feynman_convergence_table(a, t, Ns, alpha, beta, basis, rule)
+        assert table.reference == oracle_elements(
+            antiwick_quantize_poly(basis, a), alpha, beta, [t]
+        )[0]
+        assert table.slice_norm == np.linalg.norm(
+            chernoff_step(a, t / Ns[-1], basis, rule).mat, 2
+        )
+        assert [r.abs_error for r in table] == [
+            abs(r.value - table.reference) for r in table
+        ]
+
+    def test_empty_table_has_no_reference(self):
+        table = feynman_convergence_table(
+            zz(), 0.5, [], [0.1], [0.1], enumerate_basis(1, 6), gauss_hermite_rule(1, 8)
+        )
+        assert table.reference is None and table.slice_norm is None
 
     def test_rejects_non_ascending(self):
         basis = enumerate_basis(1, 6)
