@@ -153,6 +153,13 @@ def _is_pair(obj) -> bool:
     return isinstance(obj, list) and len(obj) == 2 and all(map(_is_finite, obj))
 
 
+def _check_window(name: str, window) -> None:
+    if not _is_pair(window):
+        raise ConfigError(f"{name}: expected [low, high] finite numbers")
+    if window[0] > window[1]:
+        raise ConfigError(f"{name}: low {window[0]!r} > high {window[1]!r}")
+
+
 def _get_number(cfg, name, required=True, default=None):
     val = _get(cfg, name, (int, float), required, default)
     if val is not None and not _is_finite(val):
@@ -325,8 +332,7 @@ def validate_config(cfg) -> dict:
         info["symbol"] = _parse_symbol(cfg, d)
         info["probe"] = _parse_probe(cfg, d, M)
         window = _get(cfg, "halving_window", list, required=False, default=[1.6, 2.4])
-        if not _is_pair(window):
-            raise ConfigError("halving_window: expected [low, high] finite numbers")
+        _check_window("halving_window", window)
         info["halving_window"] = window
     elif kind == "galerkin-sweep":
         t = info["t"] = float(_get_number(cfg, "t"))
@@ -347,8 +353,7 @@ def validate_config(cfg) -> dict:
             window = scaling.get("window")
             if not _is_finite(factor) or factor <= 1:
                 raise ConfigError("t_scaling.factor: expected a finite number > 1")
-            if not _is_pair(window):
-                raise ConfigError("t_scaling.window: expected [low, high] finite numbers")
+            _check_window("t_scaling.window", window)
             base_t = scaling.get("base_t")
             if base_t is not None and not _is_finite(base_t):
                 raise ConfigError("t_scaling.base_t: expected a finite number")
@@ -376,8 +381,12 @@ def validate_config(cfg) -> dict:
             psi0[0] = 1.0
         elif itype == "coherent":
             alpha = _parse_complex_vector(initial.get("alpha"), d, "initial.alpha")
-            comp = coherent_vector(FockBasis(d, M), alpha).components
-            psi0 = comp / np.linalg.norm(comp)
+            with np.errstate(over="ignore", invalid="ignore"):
+                comp = coherent_vector(FockBasis(d, M), alpha).components
+                norm = np.linalg.norm(comp)
+            if not np.isfinite(norm):
+                raise ConfigError(f"initial.alpha: coherent norm {norm} is not finite")
+            psi0 = comp / norm
         else:
             psi0 = _parse_complex_vector(
                 initial.get("components"), info["basis_size"], "initial.components"
@@ -493,13 +502,14 @@ def _run_chernoff_sweep(run, rng):
         Check("slice-contractivity", spectral_norm <= 1 + 1e-6, spectral_norm,
               1 + 1e-6),
     ]
+    digest = symbol_digest(symbol)
     metrics = {
         "reference": [reference.real, reference.imag],
         "ratios": {str(n): r for n, r in ratios},
         "halving_window": list(window),
-        "symbol_digest": symbol_digest(symbol),
+        "symbol_digest": digest,
     }
-    meta = {"d": d, "M": M, "Q": Q, "t": t, "symbol_digest": symbol_digest(symbol)}
+    meta = {"d": d, "M": M, "Q": Q, "t": t, "symbol_digest": digest}
     artifacts = {
         "chernoff_table.csv": lambda path: records_to_csv(records, path),
         "chernoff_table.json": lambda path: _write_json(
@@ -563,10 +573,6 @@ def _run_galerkin_sweep(run, rng):
         artifacts["galerkin_sweep_scaled.csv"] = (
             lambda path: sweep_to_csv(scaled_records, path)
         )
-        for r in base_records:
-            timings[f"n={r.parameter},t={base_t}"] = r.seconds
-        for r in scaled_records:
-            timings[f"n={r.parameter},t={factor * base_t}"] = r.seconds
     return checks, metrics, artifacts, timings
 
 

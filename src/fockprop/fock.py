@@ -5,7 +5,8 @@ lexicographic order (by total quanta, then first mode heaviest), which
 pins down serialization.  Ladder operators, multiplicative and tangential
 second quantization of one-particle operators, and truncated coherent
 vectors are all realized as dense real or complex matrices / vectors over
-this basis.
+this basis; the ladder operators and dgamma are the Wick quantizations of
+z_i, z*_i and z* . o . z, by the one fill of quantize.wick_quantize.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .symbols import as_phase_point
+from .symbols import PolySymbol, as_phase_point, variable
 
 HERMITIAN_TOL = 1e-12
 # largest quanta-cutoff tail of a coherent probe point (coherent_tail_bound)
@@ -175,16 +176,8 @@ class CoherentVector:
 
 
 def annihilator(basis: FockBasis, mode: int) -> OperatorMatrix:
-    """Matrix of a_mode: sqrt(n_mode) linking (n) -> (n - e_mode); 1-based mode."""
-    if not 1 <= mode <= basis.modes:
-        raise ValueError(f"mode {mode} out of range 1..{basis.modes}")
-    i = mode - 1
-    cols = np.nonzero(basis.occupations[:, i] > 0)[0]
-    lowered = basis.occupations[cols]
-    lowered[:, i] -= 1
-    mat = np.zeros((basis.size, basis.size))
-    mat[basis.rank(lowered), cols] = np.sqrt(basis.occupations[cols, i])
-    return OperatorMatrix(basis, mat)
+    """a_mode = Wick(z_mode): sqrt(n_mode) links (n) -> (n - e_mode); 1-based mode."""
+    return _wick(basis, variable(basis.modes, mode))
 
 
 def creator(basis: FockBasis, mode: int) -> OperatorMatrix:
@@ -264,34 +257,27 @@ def gamma_of(basis: FockBasis, o: np.ndarray) -> OperatorMatrix:
 
 
 def dgamma(basis: FockBasis, o: np.ndarray) -> OperatorMatrix:
-    """Tangential quantization sum_ij o_ij a_i^dag a_j, filled directly.
+    """Tangential quantization sum_ij o_ij a_i^dag a_j, the Wick
+    quantization of z* . o . z.
 
-    Annihilates the vacuum; Hermitian when o is; grade-preserving, so the
-    truncated matrix is exact. In particular the diagonal of dgamma(I) is
-    the integer quanta count, not a product of square roots.
+    Annihilates the vacuum; Hermitian when o is, real when o is;
+    grade-preserving, so the truncated matrix is exact. In particular the
+    diagonal of dgamma(I) is the integer quanta count.
     """
     o = np.asarray(o, dtype=complex)
     if o.shape != (basis.modes, basis.modes):
         raise ValueError(f"operator must be {basis.modes} x {basis.modes}")
-    occ = basis.occupations
-    mat = np.zeros((basis.size, basis.size), dtype=complex)
-    for j in range(basis.modes):
-        cols = np.nonzero(occ[:, j] > 0)[0]
-        nj = occ[cols, j]
-        for i in range(basis.modes):
-            if o[i, j] == 0:
-                continue
-            if i == j:
-                mat[cols, cols] += o[i, j] * nj
-            else:
-                # moving one quantum keeps the total, so targets stay in the basis
-                target = occ[cols]
-                target[:, j] -= 1
-                target[:, i] += 1
-                mat[basis.rank(target), cols] += (
-                    o[i, j] * np.sqrt(nj) * np.sqrt(occ[cols, i] + 1)
-                )
-    return OperatorMatrix(basis, mat)
+    unit = [tuple(row) for row in np.eye(basis.modes, dtype=int).tolist()]
+    terms = {(unit[i], unit[j]): o[i, j] for i, j in np.ndindex(o.shape)}
+    return _wick(basis, PolySymbol(basis.modes, terms))
+
+
+def _wick(basis: FockBasis, symbol: PolySymbol) -> OperatorMatrix:
+    # quantize imports this module when it loads, so the one Wick fill is
+    # imported here, at call time
+    from .quantize import wick_quantize
+
+    return wick_quantize(basis, symbol)
 
 
 def coherent_vector(basis: FockBasis, alpha) -> CoherentVector:

@@ -480,6 +480,22 @@ RUN_PRECONDITIONS = [
     ("lower-bound-pair-array", "Q",
      {"schema": 1, "kind": "lower-bound", "d": 2, "M": 60, "Q": 2, "count": 1},
      "quadrature array of 13845841 points"),
+    # an inverted window fails its check whatever the run computes
+    ("halving-window-inverted", "halving_window",
+     chernoff_config(halving_window=[2.4, 1.6]), "low 2.4 > high 1.6"),
+    ("t-scaling-window-inverted", "t_scaling.window",
+     dict(GALERKIN, t_scaling=dict(GALERKIN["t_scaling"], window=[6.0, 2.5])),
+     "low 6.0 > high 2.5"),
+    # at M = 16 the norm overflows (1e11) or the components do (1e100), so
+    # the start cannot be normalized
+    ("coherent-norm-overflow", "initial.alpha",
+     dict(standard_configs()["evolve"],
+          initial={"type": "coherent", "alpha": [[1e11, 0.0]]}),
+     "coherent norm inf is not finite"),
+    ("coherent-components-overflow", "initial.alpha",
+     dict(standard_configs()["evolve"],
+          initial={"type": "coherent", "alpha": [[1e100, 0.0]]}),
+     "coherent norm (inf|nan) is not finite"),
 ]
 
 

@@ -17,6 +17,8 @@ from fockprop.fock import (
     gamma_of,
     min_quanta_for_tail,
 )
+from fockprop.quantize import wick_quantize
+from fockprop.symbols import conj_variable, variable
 
 
 def recursive_occupations(total, modes):
@@ -280,6 +282,44 @@ class TestDgamma:
             )
             rhs = dgamma(basis, o1 @ o2 - o2 @ o1).mat
             assert np.abs(lhs - rhs).max() <= 1e-10
+
+
+class TestWickQuantizations:
+    """The ladder matrices and dGamma are Wick quantizations of z_i, z*_i
+    and z* . o . z, entry for entry."""
+
+    SIZES = [(1, 0), (1, 5), (2, 1), (2, 4), (3, 2), (3, 5)]
+
+    @pytest.mark.parametrize("d,M", SIZES)
+    def test_ladder_matrices(self, d, M):
+        basis = enumerate_basis(d, M)
+        for mode in range(1, d + 1):
+            for op, symbol in ((annihilator, variable), (creator, conj_variable)):
+                mat = op(basis, mode).mat
+                wick = wick_quantize(basis, symbol(d, mode)).mat
+                assert mat.dtype == wick.dtype == np.float64
+                np.testing.assert_array_equal(mat, wick)
+
+    @pytest.mark.parametrize("d,M", SIZES)
+    @pytest.mark.parametrize("kind", ["complex", "real"])
+    def test_dgamma(self, d, M, kind):
+        rng = np.random.default_rng(d * 10 + M)
+        o = rng.standard_normal((d, d))
+        if kind == "complex":
+            o = o + 1j * rng.standard_normal((d, d))
+        if d > 1:
+            o[0, -1] = 0.0  # a zero entry, which adds no term
+        symbol = sum(
+            complex(o[i, j]) * conj_variable(d, i + 1) * variable(d, j + 1)
+            for i in range(d) for j in range(d)
+        )
+        basis = enumerate_basis(d, M)
+        mat = dgamma(basis, o).mat
+        wick = wick_quantize(basis, symbol).mat
+        assert mat.dtype == wick.dtype
+        if kind == "real":
+            assert mat.dtype == np.float64
+        np.testing.assert_array_equal(mat, wick)
 
 
 class TestCoherentVector:
