@@ -42,13 +42,15 @@ from .quantize import (
     DEFAULT_ORDER_MARGIN,
     antiwick_quantize_function,
     antiwick_quantize_poly,
+    check_quadrature_array,
+    check_slice_rule,
     gauss_hermite_rule,
 )
 from .symbols import (
-    GRID_MAX_POINTS,
     PhaseGrid,
     PolySymbol,
     antinormal_from_wick,
+    check_grid,
     from_term_list,
     infimum_estimate,
     max_coeff_difference,
@@ -107,19 +109,12 @@ def _get(cfg: dict, name: str, types, required: bool = True, default=None):
             raise ConfigError(f"{name}: missing required field")
         return default
     val = cfg[name]
-    if isinstance(val, bool) and bool not in (types if isinstance(types, tuple) else (types,)):
-        raise ConfigError(f"{name}: expected {_type_names(types)}, got bool")
-    if not isinstance(val, types):
-        raise ConfigError(
-            f"{name}: expected {_type_names(types)}, got {type(val).__name__}"
-        )
+    types = types if isinstance(types, tuple) else (types,)
+    # bool is an int subclass; json true/false is not a number
+    if not isinstance(val, types) or (isinstance(val, bool) and bool not in types):
+        expected = " or ".join(t.__name__ for t in types)
+        raise ConfigError(f"{name}: expected {expected}, got {type(val).__name__}")
     return val
-
-
-def _type_names(types) -> str:
-    if isinstance(types, tuple):
-        return " or ".join(t.__name__ for t in types)
-    return types.__name__
 
 
 def _get_int(cfg, name, required=True, default=None, minimum=None):
@@ -199,31 +194,13 @@ def _parse_probe(cfg, modes: int, max_quanta: int) -> tuple[np.ndarray, np.ndarr
     return points["alpha"], points["beta"]
 
 
-def _check_grid(field: str, grid: str, points: int, d: int) -> None:
-    # one limit for every product grid a run evaluates a symbol on
-    if points > GRID_MAX_POINTS:
-        raise ConfigError(
-            f"{field}: {grid} of {points} points at d={d}; at most {GRID_MAX_POINTS}"
-        )
-
-
-def _check_nodes(Q: int, M: int, d: int) -> int:
-    # the entries of the quadrature's largest array, checked and returned:
-    # its Q^(2d) node values, or, when Q < M + 1, the (M+1)^(2d) basis
-    # pairs of its last contraction
-    side = max(Q, M + 1)
-    grid = (f"rule order {Q} gives a quadrature grid" if side == Q
-            else f"cutoff M + 1 = {M + 1} > Q = {Q} gives a quadrature array")
-    _check_grid("Q", grid, side ** (2 * d), d)
-    return side ** (2 * d)
-
-
-def _check_slice_rule(Q: int, M: int) -> None:
-    # a slice's rule resolves the identity on the basis only from Q = M + 1
-    if Q < M + 1:
-        raise ConfigError(
-            f"Q: rule order {Q} < M + 1 = {M + 1}; chernoff slices need Q >= M + 1"
-        )
+def _ask(field: str, check, *args):
+    # a library check or constructor; its refusal, a ValueError, is a
+    # ConfigError on the field that set what it refused
+    try:
+        return check(*args)
+    except ValueError as exc:
+        raise ConfigError(f"{field}: {exc}") from exc
 
 
 def _parse_symbol(cfg, modes: int) -> PolySymbol:
@@ -319,8 +296,7 @@ def validate_config(cfg) -> dict:
         info["count"] = _get_int(cfg, "count", required=False, default=50, minimum=1)
         radius = _get_number(cfg, "radius", required=False, default=6.0)
         grid = PhaseGrid(radius=float(radius))
-        _check_grid("d", "lower-bound scans a phase grid",
-                    len(grid.mode_points()) ** d, d)
+        _ask("d", check_grid, len(grid.mode_points()) ** d, d)
         info["grid"] = grid
     elif kind == "chernoff-sweep":
         info["t"] = float(_get_number(cfg, "t"))
@@ -328,7 +304,7 @@ def validate_config(cfg) -> dict:
         if any(b <= a for a, b in zip(ns, ns[1:])):
             raise ConfigError("Ns: must be strictly ascending")
         info["Ns"] = ns
-        _check_slice_rule(Q, M)
+        _ask("Q", check_slice_rule, Q, M)
         info["symbol"] = _parse_symbol(cfg, d)
         info["probe"] = _parse_probe(cfg, d, M)
         window = _get(cfg, "halving_window", list, required=False, default=[1.6, 2.4])
@@ -339,10 +315,7 @@ def validate_config(cfg) -> dict:
         info["slope_threshold"] = float(_get_number(
             cfg, "slope_threshold", required=False, default=DEFAULT_SLOPE_THRESHOLD
         ))
-        try:
-            info["flag"] = Flag(d_max=d, ns=tuple(_get_counts(cfg, "flag")))
-        except ValueError as exc:
-            raise ConfigError(f"flag: {exc}") from exc
+        info["flag"] = _ask("flag", Flag, d, tuple(_get_counts(cfg, "flag")))
         info["symbol"] = _parse_symbol(cfg, d)
         info["probe"] = _parse_probe(cfg, d, M)
         info["route"] = _parse_route(cfg)
@@ -381,12 +354,8 @@ def validate_config(cfg) -> dict:
             psi0[0] = 1.0
         elif itype == "coherent":
             alpha = _parse_complex_vector(initial.get("alpha"), d, "initial.alpha")
-            with np.errstate(over="ignore", invalid="ignore"):
-                comp = coherent_vector(FockBasis(d, M), alpha).components
-                norm = np.linalg.norm(comp)
-            if not np.isfinite(norm):
-                raise ConfigError(f"initial.alpha: coherent norm {norm} is not finite")
-            psi0 = comp / norm
+            start = _ask("initial.alpha", coherent_vector, FockBasis(d, M), alpha)
+            psi0 = start.components / np.linalg.norm(start.components)
         else:
             psi0 = _parse_complex_vector(
                 initial.get("components"), info["basis_size"], "initial.components"
@@ -409,14 +378,21 @@ def validate_config(cfg) -> dict:
             # the default order is resolved here, so its grid is checked too
             info["Q"] = _get_int(cfg, "Q", required=False,
                                  default=M + DEFAULT_ORDER_MARGIN, minimum=1)
-            _check_slice_rule(info["Q"], M)
+            _ask("Q", check_slice_rule, info["Q"], M)
     if "Q" in info:
         info["node_count"] = info["Q"] ** (2 * d)
-        info["array_entries"] = _check_nodes(info["Q"], M, d)
+        info["array_entries"] = _ask("Q", check_quadrature_array, d, info["Q"], M)
     return info
 
 
 # -- experiment kinds --------------------------------------------------------
+
+
+def _window_check(name: str, ratios: list, lo, hi) -> Check:
+    # passes when there is a ratio and every one lies in [lo, hi]; reports
+    # the smallest against lo
+    inside = bool(ratios) and all(lo <= r <= hi for r in ratios)
+    return Check(name, inside, min(ratios, default=0.0), lo)
 
 
 def _run_ccr(run, rng):
@@ -494,11 +470,9 @@ def _run_chernoff_sweep(run, rng):
     )
 
     ratios = halving_ratios(records)
-    in_window = all(window[0] <= r <= window[1] for _, r in ratios) and bool(ratios)
     spectral_norm, reference = records.slice_norm, records.reference
     checks = [
-        Check("halving-ratio-window", in_window,
-              min((r for _, r in ratios), default=0.0), window[0]),
+        _window_check("halving-ratio-window", [r for _, r in ratios], *window),
         Check("slice-contractivity", spectral_norm <= 1 + 1e-6, spectral_norm,
               1 + 1e-6),
     ]
@@ -556,18 +530,12 @@ def _run_galerkin_sweep(run, rng):
 
     if scaling:
         (base_records, _), (scaled_records, _) = sweeps[1:]
-        ratios = {}
-        in_window = True
-        for base, scaled in zip(base_records, scaled_records):
-            if base.abs_error > ERROR_FLOOR:
-                ratio = scaled.abs_error / base.abs_error
-                ratios[str(base.parameter)] = ratio
-                in_window = in_window and lo <= ratio <= hi
-        in_window = in_window and bool(ratios)
-        checks.append(
-            Check("t-scaling-window", in_window,
-                  min(ratios.values(), default=0.0), lo)
-        )
+        ratios = {
+            str(base.parameter): scaled.abs_error / base.abs_error
+            for base, scaled in zip(base_records, scaled_records)
+            if base.abs_error > ERROR_FLOOR
+        }
+        checks.append(_window_check("t-scaling-window", list(ratios.values()), lo, hi))
         metrics["t_scaling_ratios"] = ratios
         metrics["t_scaling_base_t"] = base_t
         artifacts["galerkin_sweep_scaled.csv"] = (
@@ -595,9 +563,7 @@ def _run_evolve(run, rng):
         "route": run["route"],
         "method": method,
     }
-    # unindented: json's C encoder does not indent, and this is the one
-    # large file a run writes
-    artifacts = {"states.json": lambda path: _write_json(path, payload, indent=None)}
+    artifacts = {"states.json": lambda path: _write_json(path, payload)}
     metrics = {"symbol_digest": symbol_digest(symbol)}
     return checks, metrics, artifacts, {}
 
@@ -615,13 +581,15 @@ _RUNNERS = {
 # -- report plumbing ---------------------------------------------------------
 
 
-def _write_json(path, payload, indent: int | None = 2) -> None:
-    Path(path).write_text(json.dumps(payload, indent=indent, sort_keys=True) + "\n")
+def _write_json(path, payload) -> None:
+    # compact: json's C encoder does not indent
+    Path(path).write_text(json.dumps(payload, sort_keys=True) + "\n")
 
 
-def _write_artifact(out_dir: Path, name: str, writer) -> None:
+def _write_artifact(out_dir: Path, name: Path | str, writer) -> None:
     # writers stream to a temp path; the rename is the commit point
     target = out_dir / name
+    target.parent.mkdir(parents=True, exist_ok=True)
     tmp = target.with_name(target.name + f".tmp{os.getpid()}")
     try:
         writer(tmp)
@@ -646,14 +614,6 @@ def run_config(cfg: dict, out_dir: Path) -> dict:
     checks, metrics, artifacts, timings = _RUNNERS[run["kind"]](run, rng)
     total = time.perf_counter() - started
 
-    def write(name: str, writer) -> None:
-        target = out_dir / run["outputs"][name]
-        target.parent.mkdir(parents=True, exist_ok=True)
-        _write_artifact(target.parent, target.name, writer)
-
-    for name, writer in artifacts.items():
-        write(name, writer)
-
     report = {
         "schema": SCHEMA_VERSION,
         "kind": run["kind"],
@@ -663,9 +623,12 @@ def run_config(cfg: dict, out_dir: Path) -> dict:
         "metrics": metrics,
         "passed": all(c.passed for c in checks),
     }
-    write("report.json", lambda path: _write_json(path, report))
     timings["total"] = total
-    write("timings.json", lambda path: _write_json(path, timings))
+    # the kind's artifacts first, the report and timings last
+    artifacts["report.json"] = lambda path: _write_json(path, report)
+    artifacts["timings.json"] = lambda path: _write_json(path, timings)
+    for name, writer in artifacts.items():
+        _write_artifact(out_dir, run["outputs"][name], writer)
     return report
 
 

@@ -71,13 +71,11 @@ class FockBasis:
             left -= below[occ[:, k]]
         occ[:, :-1] -= occ[:, 1:]  # suffix sums to occupations
         self.occupations = occ
-        self.states: tuple[tuple[int, ...], ...] = tuple(map(tuple, occ.tolist()))
         self.total_quanta = occ.sum(axis=1)
-        assert len(self.states) == math.comb(max_quanta + modes, modes)
 
     @property
     def size(self) -> int:
-        return len(self.states)
+        return len(self.occupations)
 
     def rank(self, occ) -> np.ndarray:
         """Basis indices of occupation rows, in closed form.
@@ -281,15 +279,20 @@ def _wick(basis: FockBasis, symbol: PolySymbol) -> OperatorMatrix:
 
 
 def coherent_vector(basis: FockBasis, alpha) -> CoherentVector:
-    """Truncated coherent vector with vacuum component 1 (Bargmann convention)."""
+    """Truncated coherent vector with vacuum component 1 (Bargmann
+    convention); ValueError when its norm, or a component, overflows."""
     a = as_phase_point(alpha, basis.modes)
     if not np.all(np.isfinite(a)):
         raise ValueError("coherent amplitude must be finite")
     # table[n, i] = a_i^n / sqrt(n!), gathered at each mode's occupation
-    table = _coherent_table(np.ones(basis.modes), a, basis.max_quanta)
-    comp = np.ones(basis.size, dtype=complex)
-    for i in range(basis.modes):
-        comp *= table[basis.occupations[:, i], i]
+    with np.errstate(over="ignore", invalid="ignore"):
+        table = _coherent_table(np.ones(basis.modes), a, basis.max_quanta)
+        comp = np.ones(basis.size, dtype=complex)
+        for i in range(basis.modes):
+            comp *= table[basis.occupations[:, i], i]
+        norm = np.linalg.norm(comp)
+    if not np.isfinite(norm):
+        raise ValueError(f"coherent norm {norm} is not finite")
     return CoherentVector(basis=basis, alpha=a, components=comp)
 
 

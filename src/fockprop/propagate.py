@@ -29,7 +29,13 @@ from .fock import (
     OperatorMatrix,
     checked_coherent_components,
 )
-from .quantize import QuadratureRule, antiwick_quantize_function, antiwick_quantize_poly
+from .quantize import (
+    QuadratureRule,
+    antiwick_quantize_function,
+    antiwick_quantize_poly,
+    check_quadrature_array,
+    check_slice_rule,
+)
 from .symbols import PolySymbol
 
 # The Lanczos route of oracle_elements (Saad, SIAM J. Numer. Anal. 29 (1992)
@@ -319,13 +325,12 @@ def chernoff_step(
 ) -> OperatorMatrix:
     """One slice operator: anti-Wick quantization of exp(-i a tau).
 
-    The rule must resolve the identity on the basis, so its order is at
-    least max_quanta + 1.
+    The rule must resolve the identity on the basis (check_slice_rule),
+    and the quadrature must fit check_quadrature_array, which is asked
+    before the symbol is evaluated on the nodes.
     """
-    if rule.order < basis.max_quanta + 1:
-        raise ValueError(
-            f"rule order {rule.order} < max_quanta + 1 = {basis.max_quanta + 1}"
-        )
+    check_slice_rule(rule.order, basis.max_quanta)
+    check_quadrature_array(basis.modes, rule.order, basis.max_quanta)
     if not a.is_real():
         raise ValueError("slice symbol must be real")
     values = a.evaluate_grid(rule.mode_nodes).real

@@ -18,13 +18,15 @@ from typing import Sequence
 import numpy as np
 
 from .fock import FockBasis, OperatorMatrix, _coherent_table, checked_coherent_components
-from .symbols import PolySymbol, as_phase_point, wick_from_antinormal
+from .symbols import PolySymbol, as_phase_point, check_grid, wick_from_antinormal
 
 DEFAULT_ORDER_MARGIN = 2  # default rule order Q = M + 2
 
 __all__ = [
     "QuadratureRule",
     "gauss_hermite_rule",
+    "check_quadrature_array",
+    "check_slice_rule",
     "wick_quantize",
     "wick_symbol_deviation",
     "antiwick_quantize_poly",
@@ -59,9 +61,9 @@ def gauss_hermite_rule(modes: int, order: int) -> QuadratureRule:
 
     The rule has order^(2*modes) nodes but stores only one mode's
     order^2.  Quantizing on it at cutoff M forms arrays of up to
-    max(order, M + 1)^(2*modes) complex entries, which symbols.GRID_MAX_POINTS
-    bounds.  Exact for integrands of degree <= 2*order - 1 in each real
-    coordinate.
+    max(order, M + 1)^(2*modes) complex entries, which
+    check_quadrature_array bounds.  Exact for integrands of degree
+    <= 2*order - 1 in each real coordinate.
     """
     if modes < 1:
         raise ValueError("modes must be >= 1")
@@ -74,6 +76,24 @@ def gauss_hermite_rule(modes: int, order: int) -> QuadratureRule:
         mode_nodes=(x[:, None] + 1j * x[None, :]).reshape(-1),
         mode_weights=np.outer(w, w).reshape(-1) / math.pi,
     )
+
+
+def check_quadrature_array(modes: int, order: int, max_quanta: int) -> int:
+    """Entries max(order, max_quanta + 1)^(2*modes) of an anti-Wick
+    quadrature's largest array: its node values, or the basis pairs of its
+    last contraction; ValueError above symbols.GRID_MAX_POINTS."""
+    side = max(order, max_quanta + 1)
+    grid = (f"rule order {order} gives a quadrature grid" if side == order else
+            f"cutoff M + 1 = {side} > Q = {order} gives a quadrature array")
+    return check_grid(side ** (2 * modes), modes, grid)
+
+
+def check_slice_rule(order: int, max_quanta: int) -> None:
+    """Refuse a slice rule that does not resolve the identity on the basis:
+    that takes order >= max_quanta + 1."""
+    if order < max_quanta + 1:
+        raise ValueError(f"rule order {order} < M + 1 = {max_quanta + 1}; "
+                         "chernoff slices need Q >= M + 1")
 
 
 def wick_quantize(basis: FockBasis, w: PolySymbol) -> OperatorMatrix:
@@ -189,11 +209,13 @@ def antiwick_quantize_function(
     against the pair kernel K[(n, m), p] = phi[n, p] conj phi[m, p], for
     O((M+1)^2 Q^(2d)) work in all; a single mode is the gemm
     (phi f) phi^H.  Basis entries are gathered from the (M+1)^(2d) result.
+    check_quadrature_array is asked before any array is formed.
     """
     if rule.modes != basis.modes:
         raise ValueError(
             f"rule has {rule.modes} modes but basis has {basis.modes}"
         )
+    check_quadrature_array(basis.modes, rule.order, basis.max_quanta)
     vals = np.asarray(values, dtype=complex)
     if vals.shape != (rule.count,):
         raise ValueError(

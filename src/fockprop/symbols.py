@@ -35,9 +35,8 @@ import numpy as np
 
 TermKey = tuple[tuple[int, ...], tuple[int, ...]]
 
-# the most complex entries (16 B each) of any single array a grid run forms:
-# a symbol's values on a product grid (quadrature nodes and phase-grid scans
-# alike), and an anti-Wick quadrature's largest array, max(Q, M + 1)^(2d)
+# the most complex entries (16 B each) of any single array a grid run forms,
+# symbol values on a product grid and anti-Wick quadratures alike (check_grid)
 GRID_MAX_POINTS = 6_000_000
 
 __all__ = [
@@ -57,7 +56,18 @@ __all__ = [
     "symbol_digest",
     "max_coeff_difference",
     "as_phase_point",
+    "check_grid",
 ]
+
+
+def check_grid(points: int, modes: int, grid: str = "phase grid") -> int:
+    """`points`, the entries of an array over a `modes`-mode product grid;
+    ValueError, which names the array `grid`, above GRID_MAX_POINTS."""
+    if points > GRID_MAX_POINTS:
+        raise ValueError(
+            f"{grid} of {points} points at d={modes}; at most {GRID_MAX_POINTS}"
+        )
+    return points
 
 
 def as_phase_point(values, modes: int) -> np.ndarray:
@@ -294,11 +304,7 @@ class PolySymbol:
         z = np.asarray(mode_points, dtype=complex)
         if z.ndim != 1:
             raise ValueError(f"mode points have shape {z.shape}, expected (n,)")
-        count = len(z) ** self.modes
-        if count > GRID_MAX_POINTS:
-            raise ValueError(
-                f"grid would have {count} points; at most {GRID_MAX_POINTS}"
-            )
+        count = check_grid(len(z) ** self.modes, self.modes)
         if self.is_zero():
             return np.zeros(count, dtype=complex)
         powers = np.ones((self.degree + 1, len(z)), dtype=complex)

@@ -5,6 +5,7 @@ import tempfile
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -29,11 +30,18 @@ from fockprop.cli import (
     run_config,
     validate_config,
 )
-from fockprop.fock import FockBasis
-from fockprop.galerkin import ERROR_FLOOR, galerkin_sweeps
+from fockprop.fock import FockBasis, coherent_vector
+from fockprop.galerkin import ERROR_FLOOR, galerkin_sweeps, schrodinger_evolve
 from fockprop.propagate import chernoff_step, feynman_convergence_table
-from fockprop.quantize import gauss_hermite_rule
-from fockprop.symbols import conj_variable, from_term_list, to_term_list, variable
+from fockprop.quantize import antiwick_quantize_function, gauss_hermite_rule
+from fockprop.symbols import (
+    PhaseGrid,
+    conj_variable,
+    from_term_list,
+    infimum_estimate,
+    to_term_list,
+    variable,
+)
 
 
 def write_config(tmp_path, cfg, name="config.json"):
@@ -539,6 +547,57 @@ class TestRunPreconditions:
         cfg = evolve_vector_config([[0.6, 0.0], [0.0, 0.8], [0.0, 0.0], [0.0, 0.0]])
         validate_config(cfg)
         assert run_config(cfg, tmp_path)["passed"]
+
+
+def chernoff_slice_of(cfg):
+    """The slice a chernoff sweep builds for `cfg`, at its first N."""
+    d, M = cfg["d"], cfg["M"]
+    return chernoff_step(from_term_list(cfg["symbol"]), cfg["t"] / cfg["Ns"][0],
+                         FockBasis(d, M), gauss_hermite_rule(d, cfg["Q"]))
+
+
+def evolve_vacuum_of(cfg):
+    """The sliced evolution of the vacuum that an evolve config asks for."""
+    d, M = cfg["d"], cfg["M"]
+    vacuum = coherent_vector(FockBasis(d, M), [0.0] * d).components
+    return schrodinger_evolve(from_term_list(cfg["symbol"]), d, vacuum, cfg["t_grid"],
+                              M, order=cfg.get("Q"), method="chernoff")
+
+
+def coherent_start_of(cfg):
+    """The coherent vector an evolve config starts from, before normalizing."""
+    alpha = [complex(*pair) for pair in cfg["initial"]["alpha"]]
+    return coherent_vector(FockBasis(cfg["d"], cfg["M"]), alpha)
+
+
+# the library call a run makes for each size, rule or overflow refusal of
+# RUN_PRECONDITIONS: validate refuses with the library's own message
+LIBRARY_REFUSALS = {
+    "chernoff-sweep-Q": chernoff_slice_of,
+    "evolve-chernoff-Q": evolve_vacuum_of,
+    "lower-bound-d3": lambda cfg: infimum_estimate(
+        coupled_quartic(modes=cfg["d"]), PhaseGrid(radius=6.0)
+    ),
+    "chernoff-sweep-grid": chernoff_slice_of,
+    "evolve-chernoff-default-Q-grid": evolve_vacuum_of,
+    "lower-bound-pair-array": lambda cfg: antiwick_quantize_function(
+        FockBasis(cfg["d"], cfg["M"]), np.zeros(cfg["Q"] ** (2 * cfg["d"])),
+        gauss_hermite_rule(cfg["d"], cfg["Q"]),
+    ),
+    "coherent-norm-overflow": coherent_start_of,
+    "coherent-components-overflow": coherent_start_of,
+}
+
+
+class TestValidateAsksTheLibrary:
+    @pytest.mark.parametrize("name", sorted(LIBRARY_REFUSALS))
+    def test_same_message(self, name):
+        [(field, cfg, _)] = [case[1:] for case in RUN_PRECONDITIONS if case[0] == name]
+        with pytest.raises(ValueError) as library:
+            LIBRARY_REFUSALS[name](cfg)
+        with pytest.raises(ConfigError) as validate:
+            validate_config(cfg)
+        assert str(validate.value) == f"{field}: {library.value}"
 
 
 OUTPUT_PATHS = [".", "./", "a", "a/b", "report.json", "report.json/x", "x.json"]

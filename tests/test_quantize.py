@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 from fockprop.benchmarks import coupled_quartic, quartic_oscillator
-from fockprop.fock import enumerate_basis
+from fockprop.fock import FockBasis, enumerate_basis
 from fockprop.quantize import (
     antiwick_quantize_function,
     antiwick_quantize_poly,
+    check_quadrature_array,
+    check_slice_rule,
     gauss_hermite_rule,
     wick_quantize,
     wick_symbol_deviation,
@@ -22,10 +24,11 @@ def zz(d=1):
 
 def wick_quantize_loop(basis, w):
     """Reference: one column at a time, rows found in a state -> index dict."""
-    index = {state: i for i, state in enumerate(basis.states)}
+    states = list(map(tuple, basis.occupations.tolist()))
+    index = {state: i for i, state in enumerate(states)}
     mat = np.zeros((basis.size, basis.size), dtype=complex)
     for (kstar, k), coeff in w.terms.items():
-        for col, state in enumerate(basis.states):
+        for col, state in enumerate(states):
             if any(n < ki for n, ki in zip(state, k)):
                 continue
             dst = tuple(n - ki + ks for n, ki, ks in zip(state, k, kstar))
@@ -390,6 +393,39 @@ class TestAntiwickFunction:
                 enumerate_basis(2, 3), np.ones(25), gauss_hermite_rule(1, 5)
             )
 
+    def test_refuses_largest_array_before_forming_it(self):
+        # 16 nodes, but the last contraction would form 61^4 = 13,845,841
+        # basis pairs (221 MB)
+        basis = FockBasis(2, 60)
+        rule = gauss_hermite_rule(2, 2)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="quadrature array of 13845841 points"):
+                antiwick_quantize_function(basis, np.zeros(16), rule)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+
+
+class TestQuadratureLimits:
+    def test_array_entries_are_the_larger_side(self):
+        assert check_quadrature_array(2, 6, 4) == 6**4
+        assert check_quadrature_array(2, 3, 5) == 6**4
+
+    @pytest.mark.parametrize("d,Q,M,message", [
+        (3, 14, 8, "rule order 14 gives a quadrature grid of 7529536 points at d=3"),
+        (2, 2, 60, "cutoff M \\+ 1 = 61 > Q = 2 gives a quadrature array of 13845841"),
+    ])
+    def test_refuses_over_the_grid_limit(self, d, Q, M, message):
+        with pytest.raises(ValueError, match=message):
+            check_quadrature_array(d, Q, M)
+
+    def test_slice_rule_starts_at_m_plus_one(self):
+        check_slice_rule(9, 8)
+        with pytest.raises(ValueError, match="rule order 8 < M \\+ 1 = 9"):
+            check_slice_rule(8, 8)
+
 
 def antiwick_quadrature_reference(basis, f, rule):
     """Reference: sum_q W_q f(z_q) |z_q><z_q| over every node of the rule.
@@ -400,7 +436,7 @@ def antiwick_quadrature_reference(basis, f, rule):
     nodes = full_nodes(rule)
     vals = f(nodes)
     cols = np.empty((basis.size, rule.count), dtype=complex)
-    for r, state in enumerate(basis.states):
+    for r, state in enumerate(basis.occupations.tolist()):
         col = np.ones(rule.count, dtype=complex)
         for i, n in enumerate(state):
             col *= nodes[:, i] ** n / math.sqrt(math.factorial(n))
