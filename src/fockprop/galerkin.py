@@ -24,6 +24,7 @@ from .propagate import (
     ExactPropagator,
     SliceSchedule,
     chernoff_propagator,
+    chernoff_step,
     oracle_elements,
 )
 from .quantize import (
@@ -36,10 +37,13 @@ from .symbols import PolySymbol, as_phase_point, truncate_modes
 
 DENSE_BASIS_BUDGET = 20_000
 ERROR_FLOOR = 1e-12
+# how far from 1 the norm of an evolution's initial state may be
+INITIAL_NORM_TOL = 1e-8
 
 __all__ = [
     "BudgetError",
     "check_dense_budget",
+    "check_initial_norm",
     "Flag",
     "RateFit",
     "fit_rate",
@@ -66,6 +70,16 @@ def check_dense_budget(modes: int, max_quanta: int) -> int:
             f"exceeds budget {DENSE_BASIS_BUDGET}"
         )
     return size
+
+
+def check_initial_norm(state: np.ndarray) -> float:
+    """Norm of an evolution's initial state; ValueError unless it is 1
+    within INITIAL_NORM_TOL."""
+    norm = float(np.linalg.norm(state))
+    if abs(norm - 1.0) > INITIAL_NORM_TOL:
+        tol = np.format_float_scientific(INITIAL_NORM_TOL, trim="-", exp_digits=1)
+        raise ValueError(f"norm {norm!r} is not 1 within {tol}")
+    return norm
 
 
 @dataclass(frozen=True)
@@ -242,11 +256,12 @@ def schrodinger_evolve(
 ) -> EvolveResult:
     """Evolve a normalized state under the n-mode reduced Hamiltonian.
 
-    method 'oracle' uses the spectral decomposition (norm drift <= 1e-8);
-    'chernoff' multiplies `slices` anti-Wick slice operators per time (norm
-    drift reported, typically <= 1e-3 at adequate order).  `route` picks
-    the oracle's Hamiltonian; the slices quantize the reduced symbol
-    anti-Wick either way.  t == 0 entries return the initial state unchanged.
+    The initial state must pass check_initial_norm.  method 'oracle' uses
+    the spectral decomposition (norm drift <= 1e-8); 'chernoff' multiplies
+    `slices` anti-Wick slice operators per time (norm drift reported,
+    typically <= 1e-3 at adequate order).  `route` picks the oracle's
+    Hamiltonian; the slices quantize the reduced symbol anti-Wick either
+    way.  t == 0 entries return the initial state unchanged.
     """
     basis_n = FockBasis(n, max_quanta)
     psi0 = np.asarray(initial, dtype=complex)
@@ -254,30 +269,23 @@ def schrodinger_evolve(
         raise ValueError(
             f"initial state has shape {psi0.shape}, expected ({basis_n.size},)"
         )
-    nrm = np.linalg.norm(psi0)
-    if abs(nrm - 1.0) > 1e-6:
-        raise ValueError(f"initial state norm {nrm} is not 1 within 1e-6")
+    check_initial_norm(psi0)
 
-    states: list[np.ndarray] = []
     if method == "oracle":
-        prop = ExactPropagator(reduce_hamiltonian(w, n, basis_n, route=route))
-        for t in t_grid:
-            states.append(psi0.copy() if t == 0.0 else prop.apply(psi0, t))
+        evolve = ExactPropagator(reduce_hamiltonian(w, n, basis_n, route=route)).apply
     elif method == "chernoff":
         reduced = truncate_modes(w, n)
         rule = gauss_hermite_rule(
             n, order if order is not None else max_quanta + DEFAULT_ORDER_MARGIN
         )
-        for t in t_grid:
-            if t == 0.0:
-                states.append(psi0.copy())
-            else:
-                prop = chernoff_propagator(
-                    reduced, SliceSchedule(t, slices), basis_n, rule
-                )
-                states.append(prop.mat @ psi0)
+
+        def evolve(psi: np.ndarray, t: float) -> np.ndarray:
+            sched = SliceSchedule(t, slices)
+            step = chernoff_step(reduced, sched.tau, basis_n, rule)
+            return chernoff_propagator(step, sched).mat @ psi
     else:
         raise ValueError(f"unknown method {method!r}")
+    states = [psi0.copy() if t == 0.0 else evolve(psi0, t) for t in t_grid]
     defects = tuple(abs(float(np.linalg.norm(s)) - 1.0) for s in states)
     return EvolveResult(
         times=tuple(float(t) for t in t_grid),

@@ -22,11 +22,13 @@ are valid by construction and skips those checks.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import hashlib
 import itertools
 import json
 import math
+import sys
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Mapping
@@ -57,6 +59,7 @@ __all__ = [
     "max_coeff_difference",
     "as_phase_point",
     "check_grid",
+    "check_conversion_degree",
 ]
 
 
@@ -95,6 +98,13 @@ class PolySymbol:
         items = terms.items() if isinstance(terms, Mapping) else terms
         merged: dict[TermKey, complex] = {}
         for (kstar, k), coeff in items:
+            # Python or numpy integers only: int() would truncate 1.7 and
+            # read True and "2" as exponents
+            if not all(
+                issubclass(kind, (int, np.integer)) and not issubclass(kind, bool)
+                for kind in set(map(type, (*kstar, *k)))
+            ):
+                raise ValueError("exponents must be integers")
             kstar = tuple(int(e) for e in kstar)
             k = tuple(int(e) for e in k)
             if len(kstar) != modes or len(k) != modes:
@@ -330,15 +340,15 @@ class PolySymbol:
     def __str__(self) -> str:
         if not self._terms:
             return "0"
-        bits = []
-        for (ks, k), c in self._terms.items():
-            factors = [f"z*{i+1}^{e}" if e > 1 else f"z*{i+1}"
-                       for i, e in enumerate(ks) if e]
-            factors += [f"z{i+1}^{e}" if e > 1 else f"z{i+1}"
-                        for i, e in enumerate(k) if e]
-            body = "·".join(factors) if factors else "1"
-            bits.append(f"({c})·{body}")
-        return " + ".join(bits)
+        return " + ".join(
+            f"({c})·{_monomial(ks, k)}" for (ks, k), c in self._terms.items()
+        )
+
+
+def _monomial(ks: tuple[int, ...], k: tuple[int, ...]) -> str:
+    factors = [f"z*{i+1}^{e}" if e > 1 else f"z*{i+1}" for i, e in enumerate(ks) if e]
+    factors += [f"z{i+1}^{e}" if e > 1 else f"z{i+1}" for i, e in enumerate(k) if e]
+    return "·".join(factors) if factors else "1"
 
 
 def _grid_values(terms: list, powers: np.ndarray) -> np.ndarray:
@@ -424,7 +434,8 @@ def _reorder_weights(a: int, b: int, sign: int) -> tuple[int, ...]:
 
 def _heat_series(s: PolySymbol, sign: int) -> PolySymbol:
     # exp(sign L) s term by term: the product over modes of the one-mode
-    # closed forms, with exact integer weights
+    # closed forms, with exact integer weights.  A weight or coefficient
+    # past the double range is refused, never returned as inf or nan.
     acc: dict[TermKey, complex] = {}
     for (ks, k), c in s.terms.items():
         active = [i for i in range(s.modes) if ks[i] and k[i]]
@@ -433,15 +444,59 @@ def _heat_series(s: PolySymbol, sign: int) -> PolySymbol:
             continue
         weights = [_reorder_weights(ks[i], k[i], sign) for i in active]
         lowered_ks, lowered_k = list(ks), list(k)
-        for steps in itertools.product(*(range(len(w)) for w in weights)):
-            weight = 1
-            for i, w, j in zip(active, weights, steps):
-                weight *= w[j]
-                lowered_ks[i] = ks[i] - j
-                lowered_k[i] = k[i] - j
-            key = (tuple(lowered_ks), tuple(lowered_k))
-            acc[key] = acc.get(key, 0j) + c * weight
+        try:
+            for steps in itertools.product(*(range(len(w)) for w in weights)):
+                weight = 1
+                for i, w, j in zip(active, weights, steps):
+                    weight *= w[j]
+                    lowered_ks[i] = ks[i] - j
+                    lowered_k[i] = k[i] - j
+                key = (tuple(lowered_ks), tuple(lowered_k))
+                acc[key] = acc.get(key, 0j) + c * weight
+        except OverflowError:
+            raise ValueError(
+                f"term {_monomial(ks, k)} has a conversion weight j! C(a,j) "
+                f"C(b,j) past the double range; {_degree_limit()}"
+            ) from None
+    for key, c in acc.items():
+        if not cmath.isfinite(c):
+            raise ValueError(
+                f"the conversion's coefficient of {_monomial(*key)} is {c}, "
+                "past the double range"
+            )
     return PolySymbol._canonical(s.modes, acc)
+
+
+def _weights_fit(degree: int) -> bool:
+    # whether every weight j! C(a,j) C(b,j) with a + b = degree is at most
+    # the largest double.  The balanced split a = degree // 2 has the
+    # largest weight for each j, and a term over several modes has a weight
+    # at most that of one mode at its total degree, so this one split decides.
+    a, b = degree // 2, degree - degree // 2
+    weight = 1
+    for j in range(a):
+        weight = weight * (a - j) * (b - j) // (j + 1)
+        if weight > sys.float_info.max:
+            return False
+    return True
+
+
+def _degree_limit() -> str:
+    # the first degree whose weights pass the double range (334); found on
+    # the refusal path only
+    first = next(D for D in itertools.count() if not _weights_fit(D))
+    return f"every weight is a double below total degree {first}"
+
+
+def check_conversion_degree(degree: int) -> int:
+    """`degree`; ValueError when a term of that total degree can have a
+    closed-form conversion weight j! C(a,j) C(b,j) past the double range."""
+    if not _weights_fit(degree):
+        raise ValueError(
+            f"degree {degree} gives conversion weights past the double range; "
+            f"{_degree_limit()}"
+        )
+    return degree
 
 
 def wick_from_antinormal(a: PolySymbol) -> PolySymbol:
@@ -450,7 +505,8 @@ def wick_from_antinormal(a: PolySymbol) -> PolySymbol:
     The heat series sum_m L^m a / m! terminates because each Laplacian
     application lowers the degree by 2; it is summed in closed form, term
     by term.  Degree is preserved and the difference from `a` has degree
-    lower by at least 2.
+    lower by at least 2.  A weight or coefficient past the double range
+    raises ValueError; check_conversion_degree gives the degree bound.
     """
     return _heat_series(a, 1)
 

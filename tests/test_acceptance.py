@@ -20,6 +20,7 @@ from fockprop.propagate import (
     ExactPropagator,
     SliceSchedule,
     chernoff_propagator,
+    chernoff_step,
     coherent_matrix_element,
     feynman_convergence_table,
     halving_ratios,
@@ -159,7 +160,8 @@ def test_criterion_5_chernoff_convergence():
     closed = np.exp(-1j * t) * np.exp(np.conj(alpha[0]) * np.exp(-1j * t) * beta[0])
     errs = {}
     for n in (8, 64):
-        prop = chernoff_propagator(quad, SliceSchedule(t, n), basis8, rule8)
+        sched = SliceSchedule(t, n)
+        prop = chernoff_propagator(chernoff_step(quad, sched.tau, basis8, rule8), sched)
         errs[n] = abs(coherent_matrix_element(prop, alpha, beta) - closed)
     quadratic_ok = errs[64] <= errs[8] / 4
 

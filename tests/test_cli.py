@@ -33,7 +33,11 @@ from fockprop.cli import (
 from fockprop.fock import FockBasis, coherent_vector
 from fockprop.galerkin import ERROR_FLOOR, galerkin_sweeps, schrodinger_evolve
 from fockprop.propagate import chernoff_step, feynman_convergence_table
-from fockprop.quantize import antiwick_quantize_function, gauss_hermite_rule
+from fockprop.quantize import (
+    antiwick_quantize_function,
+    antiwick_quantize_poly,
+    gauss_hermite_rule,
+)
 from fockprop.symbols import (
     PhaseGrid,
     conj_variable,
@@ -252,6 +256,26 @@ class TestRunKinds:
         assert by_name["roundtrip-max-deviation"]["value"] <= 1e-12
         assert by_name["degree-law"]["passed"]
 
+    def test_symbol_roundtrip_past_double_range_fails_its_check(self, tmp_path):
+        # below the weight bound one conversion fits, but the round trip's
+        # products can leave the doubles: a failed check, not a traceback
+        cfg = {"schema": 1, "kind": "symbol-roundtrip", "d": 1, "degree": 333,
+               "count": 10}
+        assert validate_config(cfg)["degree"] == 333
+        report = run_config(cfg, tmp_path)
+        assert not report["passed"]
+        by_name = {c["name"]: c for c in report["checks"]}
+        assert by_name["roundtrip-max-deviation"]["value"] == math.inf
+
+    def test_lower_bound_past_double_range_runs_to_a_report(self, tmp_path):
+        # sample 29 of seed 222 has a coefficient whose degree-333
+        # conversion leaves the doubles; the run leaves it out of the
+        # exact-route minimum instead of ending in a traceback
+        cfg = {"schema": 1, "kind": "lower-bound", "d": 1, "M": 2, "Q": 3,
+               "degree": 333, "count": 30, "seed": 222}
+        validate_config(cfg)
+        assert run_config(cfg, tmp_path)["passed"]
+
     def test_lower_bound(self, tmp_path):
         report = run_config(
             {"schema": 1, "kind": "lower-bound", "d": 1, "M": 6, "Q": 8,
@@ -413,6 +437,11 @@ def with_imaginary_term(cfg):
     return dict(cfg, symbol=cfg["symbol"] + [term])
 
 
+OVERFLOWING_SYMBOL = [
+    {"kstar": [1], "k": [1], "re": 1.0, "im": 0.0},
+    {"kstar": [200], "k": [200], "re": 1e-300, "im": 0.0},
+]
+
 # configs that `run` cannot finish, so `validate` must refuse them:
 # (id, field the message names, config, message)
 RUN_PRECONDITIONS = [
@@ -504,6 +533,22 @@ RUN_PRECONDITIONS = [
      dict(standard_configs()["evolve"],
           initial={"type": "coherent", "alpha": [[1e100, 0.0]]}),
      "coherent norm (inf|nan) is not finite"),
+    # the closed-form weights of z*^200 z^200 pass the double range; the
+    # runs used to end in OverflowError
+    ("chernoff-conversion-overflow", "symbol",
+     chernoff_config(M=10, Q=12, symbol=OVERFLOWING_SYMBOL),
+     r"term z\*1\^200·z1\^200 has a conversion weight"),
+    ("galerkin-antiwick-conversion-overflow", "symbol",
+     dict(GALERKIN, route="antiwick", symbol=GALERKIN["symbol"] + [
+         {"kstar": [200, 0, 0, 0], "k": [200, 0, 0, 0], "re": 1e-300, "im": 0.0}
+     ]),
+     r"term z\*1\^200·z1\^200 has a conversion weight"),
+    ("roundtrip-degree", "degree",
+     {"schema": 1, "kind": "symbol-roundtrip", "d": 1, "degree": 400},
+     "degree 400 gives conversion weights past the double range"),
+    ("lower-bound-degree", "degree",
+     {"schema": 1, "kind": "lower-bound", "d": 1, "M": 2, "Q": 3, "degree": 334},
+     "below total degree 334"),
 ]
 
 
@@ -586,6 +631,9 @@ LIBRARY_REFUSALS = {
     ),
     "coherent-norm-overflow": coherent_start_of,
     "coherent-components-overflow": coherent_start_of,
+    "chernoff-conversion-overflow": lambda cfg: antiwick_quantize_poly(
+        FockBasis(cfg["d"], cfg["M"]), from_term_list(cfg["symbol"])
+    ),
 }
 
 

@@ -292,6 +292,14 @@ class TestSchrodingerEvolve:
                 zz(1), 1, np.ones(basis.size, dtype=complex), [0.1], 4
             )
 
+    def test_rejects_norm_off_by_1e_7(self):
+        # the tolerance validate applies to a start vector, 1e-8, not 1e-6
+        basis = enumerate_basis(1, 4)
+        psi0 = np.zeros(basis.size, dtype=complex)
+        psi0[0] = 1 + 1e-7
+        with pytest.raises(ValueError, match="is not 1 within 1e-8"):
+            schrodinger_evolve(zz(1), 1, psi0, [0.1], 4)
+
     def test_reduces_before_evolving(self):
         # three-mode symbol, one-mode evolution
         M = 6

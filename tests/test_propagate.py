@@ -62,6 +62,24 @@ class TestExactEvolution:
         with pytest.raises(ValueError, match="Hermitian"):
             ExactPropagator(OperatorMatrix(basis, np.diag([1j, 0, 0, 0])))
 
+    @pytest.mark.parametrize("c,shift,dtype", [
+        (0.3, 0.0, float),      # real, one sector per total quanta
+        (0.3, 0.4, float),      # real, one sector
+        (0.3j, 0.0, complex),   # complex Hermitian
+    ])
+    def test_apply_to_columns_matches_each_column(self, c, shift, dtype):
+        z1, z2 = variable(2, 1), variable(2, 2)
+        zs1, zs2 = conj_variable(2, 1), conj_variable(2, 2)
+        symbol = zs1 * z1 + c * zs1 * z2 + np.conj(c) * zs2 * z1 + shift * (zs2 + z2)
+        basis = enumerate_basis(2, 4)
+        h = wick_quantize(basis, symbol)
+        assert h.mat.dtype == dtype
+        prop = ExactPropagator(h)
+        rng = np.random.default_rng(5)
+        states = rng.standard_normal((basis.size, 3)) + 1j * rng.standard_normal((basis.size, 3))
+        columns = np.column_stack([prop.apply(states[:, k], 0.6) for k in range(3)])
+        np.testing.assert_allclose(prop.apply(states, 0.6), columns, atol=1e-13)
+
     def test_apply_matches_operator(self):
         basis = enumerate_basis(1, 6)
         h = wick_quantize(basis, zz())
@@ -307,7 +325,8 @@ class TestChernoffPropagator:
     def test_zero_time_single_slice_is_identity(self):
         basis = enumerate_basis(1, 8)
         rule = gauss_hermite_rule(1, 10)
-        prop = chernoff_propagator(zz(), SliceSchedule(0.0, 1), basis, rule)
+        sched = SliceSchedule(0.0, 1)
+        prop = chernoff_propagator(chernoff_step(zz(), sched.tau, basis, rule), sched)
         assert np.abs(prop.mat - np.eye(basis.size)).max() <= 1e-8
 
     def test_quadratic_matches_closed_form(self):
@@ -320,7 +339,8 @@ class TestChernoffPropagator:
         closed = np.exp(-1j * t) * np.exp(np.conj(alpha[0]) * np.exp(-1j * t) * beta[0])
         errors = {}
         for n in (8, 64):
-            prop = chernoff_propagator(zz(), SliceSchedule(t, n), basis, rule)
+            sched = SliceSchedule(t, n)
+            prop = chernoff_propagator(chernoff_step(zz(), sched.tau, basis, rule), sched)
             val = coherent_matrix_element(prop, alpha, beta)
             errors[n] = abs(val - closed)
         assert errors[64] <= errors[8] / 4
@@ -330,7 +350,8 @@ class TestChernoffPropagator:
         rule = gauss_hermite_rule(1, 12)
         a = quartic_oscillator()
         for n in (1, 8, 64):
-            prop = chernoff_propagator(a, SliceSchedule(0.5, n), basis, rule)
+            sched = SliceSchedule(0.5, n)
+            prop = chernoff_propagator(chernoff_step(a, sched.tau, basis, rule), sched)
             assert np.linalg.norm(prop.mat, ord=2) <= 1 + 1e-6
 
     def test_step_adjoint_reverses_time(self):
@@ -345,13 +366,13 @@ class TestChernoffPropagator:
         basis = enumerate_basis(1, 4)
         rule = gauss_hermite_rule(1, 6)
         with pytest.raises(ValueError, match="real"):
-            chernoff_propagator(variable(1, 1), SliceSchedule(0.1, 2), basis, rule)
+            chernoff_step(variable(1, 1), 0.05, basis, rule)
 
     def test_rejects_inadequate_rule(self):
         basis = enumerate_basis(1, 10)
         rule = gauss_hermite_rule(1, 6)
         with pytest.raises(ValueError, match="order"):
-            chernoff_propagator(zz(), SliceSchedule(0.1, 2), basis, rule)
+            chernoff_step(zz(), 0.05, basis, rule)
 
     def test_step_rejects_inadequate_rule(self):
         # refused before the quadrature, so a table pays none for it

@@ -12,6 +12,7 @@ from fockprop.symbols import (
     PhaseGrid,
     PolySymbol,
     antinormal_from_wick,
+    check_conversion_degree,
     conj_variable,
     from_term_list,
     gross_laplacian,
@@ -181,6 +182,40 @@ class TestConversion:
         s = zz() ** 3
         back = antinormal_from_wick(wick_from_antinormal(s))
         assert max_coeff_difference(back, s) <= 1e-12
+
+
+class TestConversionRange:
+    # at degree 400 the largest weight j! C(200,j)^2 is an int past the
+    # double range, which used to end in OverflowError
+    @pytest.mark.parametrize("convert", [wick_from_antinormal, antinormal_from_wick])
+    def test_weight_past_double_range_is_refused(self, convert):
+        s = zz() + PolySymbol.monomial((200,), (200,), 1e-300)
+        with pytest.raises(ValueError, match=r"term z\*1\^200·z1\^200"):
+            convert(s)
+
+    def test_coefficient_past_double_range_is_refused(self):
+        # weights 1, 4, 2: the z*z coefficient 6e308 is not a double
+        with pytest.raises(ValueError, match=r"coefficient of z\*1·z1 is \(inf"):
+            wick_from_antinormal(PolySymbol.monomial((2,), (2,), 1.5e308))
+
+    def test_degree_bound_is_where_weights_leave_the_doubles(self):
+        def largest(a, b):
+            return max(math.factorial(j) * math.comb(a, j) * math.comb(b, j)
+                       for j in range(min(a, b) + 1))
+
+        assert float(largest(166, 167)) < math.inf
+        with pytest.raises(OverflowError):
+            float(largest(167, 167))
+        assert check_conversion_degree(333) == 333
+        with pytest.raises(ValueError, match="degree 334 .* below total degree 334"):
+            check_conversion_degree(334)
+
+    def test_degree_333_converts_however_it_is_split(self):
+        # one mode's balanced split has the largest weights; spreading the
+        # degree over modes multiplies smaller ones
+        keys = [((166, 0), (167, 0)), ((83, 83), (83, 84)), ((100, 66), (100, 67))]
+        s = PolySymbol(2, {key: 1.0 for key in keys})
+        assert max(map(abs, wick_from_antinormal(s).terms.values())) < math.inf
 
 
 def laplacian_series(s, sign):
@@ -403,6 +438,18 @@ class TestAlgebraBasics:
             PolySymbol(2, {((1,), (0, 1)): 1.0})
         with pytest.raises(ValueError, match="non-negative"):
             PolySymbol(1, {((-1,), (0,)): 1.0})
+
+    @pytest.mark.parametrize("exponent", [1.7, True, "2", np.float64(2.0), np.bool_(1)])
+    def test_constructor_rejects_non_integer_exponents(self, exponent):
+        # these used to be truncated by int() to z*z or z*^2 z
+        with pytest.raises(ValueError, match="exponents must be integers"):
+            PolySymbol(1, {((exponent,), (1,)): 1.0})
+
+    def test_constructor_stores_python_ints(self):
+        s = PolySymbol(1, {((np.int64(2),), (np.uint8(1),)): 1.0})
+        [(ks, k)] = s.terms
+        assert (ks, k) == ((2,), (1,))
+        assert all(type(e) is int for e in ks + k)
 
     def test_negation_stores_no_signed_zero(self):
         (term,) = to_term_list(-zz())
