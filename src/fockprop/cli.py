@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import cmath
+import csv
 import itertools
 import json
 import math
@@ -30,20 +31,16 @@ from .galerkin import (
     check_dense_budget,
     check_initial_norm,
     galerkin_sweeps,
+    running_slopes,
     schrodinger_evolve,
-    sweep_to_csv,
 )
-from .propagate import (
-    feynman_convergence_table,
-    halving_ratios,
-    records_to_csv,
-    records_to_json,
-)
+from .propagate import feynman_convergence_table, halving_ratios
 from .quantize import (
     DEFAULT_ORDER_MARGIN,
     antiwick_quantize_function,
     antiwick_quantize_poly,
     check_quadrature_array,
+    check_phase_bound,
     check_slice_rule,
     gauss_hermite_rule,
 )
@@ -98,7 +95,7 @@ class ConfigError(Exception):
 class Check:
     name: str
     passed: bool
-    value: float
+    value: float | None  # None where the measured value left the doubles
     tolerance: float
 
 
@@ -277,6 +274,8 @@ def validate_config(cfg) -> dict:
 
     d = _get_int(cfg, "d", minimum=1)
     info: dict = {"kind": kind, "seed": seed, "outputs": outputs, "d": d}
+    # the longest time of the run's spectral oracle, and of its slices
+    oracle_t = slice_tau = None
 
     needs_quanta = kind != "symbol-roundtrip"
     if needs_quanta:
@@ -308,6 +307,7 @@ def validate_config(cfg) -> dict:
         if any(b <= a for a, b in zip(ns, ns[1:])):
             raise ConfigError("Ns: must be strictly ascending")
         info["Ns"] = ns
+        oracle_t, slice_tau = info["t"], info["t"] / ns[0]
         _ask("Q", check_slice_rule, Q, M)
         info["symbol"] = _parse_symbol(cfg, d)
         info["probe"] = _parse_probe(cfg, d, M)
@@ -324,6 +324,7 @@ def validate_config(cfg) -> dict:
         info["probe"] = _parse_probe(cfg, d, M)
         info["route"] = _parse_route(cfg)
         info["t_scaling"] = None
+        oracle_t = abs(t)
         scaling = _get(cfg, "t_scaling", dict, required=False)
         if scaling is not None:
             factor = scaling.get("factor")
@@ -341,6 +342,9 @@ def validate_config(cfg) -> dict:
                 (float(window[0]), float(window[1])),
                 t if base_t is None else float(base_t),
             )
+            # the run evolves to the scaling's two times too
+            factor, _, base_t = info["t_scaling"]
+            oracle_t = max(oracle_t, abs(base_t), abs(factor * base_t))
     elif kind == "evolve":
         grid = _get(cfg, "t_grid", list)
         if not grid or not all(map(_is_finite, grid)):
@@ -359,7 +363,7 @@ def validate_config(cfg) -> dict:
         elif itype == "coherent":
             alpha = _parse_complex_vector(initial.get("alpha"), d, "initial.alpha")
             start = _ask("initial.alpha", coherent_vector, FockBasis(d, M), alpha)
-            psi0 = start.components / np.linalg.norm(start.components)
+            psi0 = start.components / start.norm
         else:
             psi0 = _parse_complex_vector(
                 initial.get("components"), info["basis_size"], "initial.components"
@@ -372,26 +376,44 @@ def validate_config(cfg) -> dict:
             raise ConfigError("method: expected 'oracle' or 'chernoff'")
         info["method"] = method
         info["slices"] = None  # the oracle does not slice
-        if method == "chernoff":
+        longest = max(map(abs, info["t_grid"]))
+        if method == "oracle":
+            oracle_t = longest
+        else:
             info["slices"] = _get_int(cfg, "slices", required=False, default=32,
                                       minimum=1)
+            slice_tau = longest / info["slices"]
             # the default order is resolved here, so its grid is checked too
             info["Q"] = _get_int(cfg, "Q", required=False,
                                  default=M + DEFAULT_ORDER_MARGIN, minimum=1)
             _ask("Q", check_slice_rule, info["Q"], M)
     # the exact anti-Wick route converts the symbol: the chernoff reference,
-    # and the antiwick route of a sweep or an oracle evolution
+    # and the antiwick route of a sweep or an oracle evolution; the oracle's
+    # Hamiltonian is the Wick quantization of the result
+    wick = info.get("symbol")
     if kind == "chernoff-sweep" or (
         info.get("route") == "antiwick" and info.get("method") != "chernoff"
     ):
-        _ask("symbol", wick_from_antinormal, info["symbol"])
+        wick = _ask("symbol", wick_from_antinormal, info["symbol"])
     if "Q" in info:
         info["node_count"] = info["Q"] ** (2 * d)
         info["array_entries"] = _ask("Q", check_quadrature_array, d, info["Q"], M)
+    if oracle_t is not None:
+        _ask("symbol", check_phase_bound, wick, oracle_t, math.sqrt(M))
+    if slice_tau is not None:
+        # built once: the phase check reads its radius, a sweep runs on it
+        info["rule"] = gauss_hermite_rule(d, info["Q"])
+        _ask("symbol", check_phase_bound, info["symbol"], slice_tau,
+             info["rule"].radius)
     return info
 
 
 # -- experiment kinds --------------------------------------------------------
+
+
+def _finite_or_none(value: float) -> float | None:
+    # strict JSON has no inf or nan: a value past the doubles is null
+    return value if math.isfinite(value) else None
 
 
 def _window_check(name: str, ratios: list, lo, hi) -> Check:
@@ -440,7 +462,8 @@ def _run_symbol_roundtrip(run, rng):
         if not diff.is_zero() and diff.degree > s.degree - 2:
             degree_law_ok = False
     checks = [
-        Check("roundtrip-max-deviation", worst <= 1e-12, worst, 1e-12),
+        Check("roundtrip-max-deviation", worst <= 1e-12, _finite_or_none(worst),
+              1e-12),
         Check("degree-law", degree_law_ok, float(degree_law_ok), 1.0),
     ]
     return checks, {"samples": count, "max_degree": degree}, {}, {}
@@ -454,11 +477,18 @@ def _run_lower_bound(run, rng):
     worst_poly_dip = math.inf
     for _ in range(count):
         s = random_symbol(rng, d, run["degree"], n_terms=6, real=True)
-        values = s.evaluate_grid(rule.mode_nodes).real
         # shift so the symbol is >= 0 on both the scan grid and the nodes;
         # positivity of the quadrature operator is certified at the nodes
-        shift = min(infimum_estimate(s, run["grid"]), float(values.min()))
-        op = antiwick_quantize_function(basis, values - shift, rule)
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = s.evaluate_grid(rule.mode_nodes).real
+            shift = min(infimum_estimate(s, run["grid"]), float(values.min()))
+            values = values - shift
+        if not np.isfinite(values).all():
+            # the symbol leaves the doubles on the grid or the nodes: the
+            # sample has no finite minimum, so the check fails
+            worst_eig = -math.inf
+            continue
+        op = antiwick_quantize_function(basis, values, rule)
         worst_eig = min(worst_eig, float(np.linalg.eigvalsh(op.mat).min()))
         try:
             poly = antiwick_quantize_poly(basis, s - shift)
@@ -468,12 +498,13 @@ def _run_lower_bound(run, rng):
             # reported exact-route minimum covers the other samples
             continue
         worst_poly_dip = min(worst_poly_dip, float(np.linalg.eigvalsh(poly.mat).min()))
-    checks = [Check("antiwick-min-eigenvalue", worst_eig >= -1e-8, worst_eig, -1e-8)]
+    checks = [Check("antiwick-min-eigenvalue", worst_eig >= -1e-8,
+                    _finite_or_none(worst_eig), -1e-8)]
     metrics = {
         "samples": count,
         # the exact route may dip below the symbol infimum by the normal-
         # ordering correction; reported, not gated
-        "poly_route_min_eigenvalue": worst_poly_dip,
+        "poly_route_min_eigenvalue": _finite_or_none(worst_poly_dip),
     }
     return checks, metrics, {}, {}
 
@@ -483,7 +514,7 @@ def _run_chernoff_sweep(run, rng):
     window, symbol = run["halving_window"], run["symbol"]
     alpha, beta = run["probe"]
     records = feynman_convergence_table(
-        symbol, t, ns, alpha, beta, FockBasis(d, M), gauss_hermite_rule(d, Q)
+        symbol, t, ns, alpha, beta, FockBasis(d, M), run["rule"]
     )
 
     ratios = halving_ratios(records)
@@ -500,12 +531,20 @@ def _run_chernoff_sweep(run, rng):
         "halving_window": list(window),
         "symbol_digest": digest,
     }
-    meta = {"d": d, "M": M, "Q": Q, "t": t, "symbol_digest": digest}
+    table = {
+        "metadata": {"d": d, "M": M, "Q": Q, "t": t, "symbol_digest": digest},
+        # wall time, the one non-deterministic field, is left to timings.json
+        "records": [
+            {"parameter": r.parameter, "observable": "coherent_element",
+             "re": r.value.real, "im": r.value.imag, "abs_error": r.abs_error}
+            for r in records
+        ],
+    }
     artifacts = {
-        "chernoff_table.csv": lambda path: records_to_csv(records, path),
-        "chernoff_table.json": lambda path: _write_json(
-            path, records_to_json(records, meta)
+        "chernoff_table.csv": lambda path: _write_csv(
+            path, ["N", "re", "im", "abs_error"], map(_record_row, records)
         ),
+        "chernoff_table.json": lambda path: _write_json(path, table),
     }
     timings = {f"N={r.parameter}": r.seconds for r in records}
     return checks, metrics, artifacts, timings
@@ -532,14 +571,15 @@ def _run_galerkin_sweep(run, rng):
         Check("rate-slope", steep,
               fit.slope if fit.slope is not None else 0.0, threshold),
     ]
-    fit_json = {**fit.to_json(), "threshold": threshold, "pass": steep}
+    fit_json = {**asdict(fit), "samples": [list(p) for p in fit.samples],
+                "threshold": threshold, "pass": steep}
     metrics = {
         "fit": fit_json,
         "errors": {str(r.parameter): r.abs_error for r in records},
         "symbol_digest": symbol_digest(symbol),
     }
     artifacts = {
-        "galerkin_sweep.csv": lambda path: sweep_to_csv(records, path),
+        "galerkin_sweep.csv": _sweep_writer(records),
         "galerkin_fit.json": lambda path: _write_json(path, fit_json),
     }
     timings = {f"n={r.parameter}": r.seconds for r in records}
@@ -555,9 +595,7 @@ def _run_galerkin_sweep(run, rng):
         checks.append(_window_check("t-scaling-window", list(ratios.values()), lo, hi))
         metrics["t_scaling_ratios"] = ratios
         metrics["t_scaling_base_t"] = base_t
-        artifacts["galerkin_sweep_scaled.csv"] = (
-            lambda path: sweep_to_csv(scaled_records, path)
-        )
+        artifacts["galerkin_sweep_scaled.csv"] = _sweep_writer(scaled_records)
     return checks, metrics, artifacts, timings
 
 
@@ -599,8 +637,28 @@ _RUNNERS = {
 
 
 def _write_json(path, payload) -> None:
-    # compact: json's C encoder does not indent
-    Path(path).write_text(json.dumps(payload, sort_keys=True) + "\n")
+    # compact: json's C encoder does not indent; strict: no NaN or Infinity
+    Path(path).write_text(json.dumps(payload, sort_keys=True, allow_nan=False) + "\n")
+
+
+def _write_csv(path, header, rows) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _record_row(r) -> list:
+    # a convergence record's row; repr keeps every digit of its doubles
+    return [r.parameter, repr(r.value.real), repr(r.value.imag), repr(r.abs_error)]
+
+
+def _sweep_writer(records):
+    # a galerkin sweep's CSV: each record's row and the running slope to it
+    return lambda path: _write_csv(
+        path, ["n", "re", "im", "abs_error", "slope_running"],
+        [_record_row(r) + [repr(s)] for r, s in zip(records, running_slopes(records))],
+    )
 
 
 def _write_artifact(out_dir: Path, name: Path | str, writer) -> None:

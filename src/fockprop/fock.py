@@ -165,6 +165,7 @@ class CoherentVector:
     basis: FockBasis
     alpha: np.ndarray
     components: np.ndarray
+    norm: float
 
     @property
     def norm_tail_bound(self) -> float:
@@ -280,7 +281,12 @@ def _wick(basis: FockBasis, symbol: PolySymbol) -> OperatorMatrix:
 
 def coherent_vector(basis: FockBasis, alpha) -> CoherentVector:
     """Truncated coherent vector with vacuum component 1 (Bargmann
-    convention); ValueError when its norm, or a component, overflows."""
+    convention); ValueError when its norm, or a component, overflows.
+
+    The norm is taken with the components scaled by the power of two at
+    their largest modulus, so no square leaves the doubles before the norm
+    does; the scaling is exact, so a norm that fits unscaled is unchanged.
+    """
     a = as_phase_point(alpha, basis.modes)
     if not np.all(np.isfinite(a)):
         raise ValueError("coherent amplitude must be finite")
@@ -290,10 +296,13 @@ def coherent_vector(basis: FockBasis, alpha) -> CoherentVector:
         comp = np.ones(basis.size, dtype=complex)
         for i in range(basis.modes):
             comp *= table[basis.occupations[:, i], i]
-        norm = np.linalg.norm(comp)
+        norm = np.abs(comp).max()
+        if np.isfinite(norm):
+            scale = 2.0 ** -int(np.frexp(norm)[1])
+            norm = np.linalg.norm(comp * scale) / scale
     if not np.isfinite(norm):
         raise ValueError(f"coherent norm {norm} is not finite")
-    return CoherentVector(basis=basis, alpha=a, components=comp)
+    return CoherentVector(basis=basis, alpha=a, components=comp, norm=float(norm))
 
 
 def _coherent_table(first: np.ndarray, z: np.ndarray, max_quanta: int) -> np.ndarray:

@@ -10,7 +10,6 @@ the mode-truncation error is measured, and fit a log-log rate in n.
 
 from __future__ import annotations
 
-import csv
 import math
 import time
 from dataclasses import dataclass
@@ -30,10 +29,11 @@ from .propagate import (
 from .quantize import (
     DEFAULT_ORDER_MARGIN,
     antiwick_quantize_poly,
+    check_phase_bound,
     gauss_hermite_rule,
     wick_quantize,
 )
-from .symbols import PolySymbol, as_phase_point, truncate_modes
+from .symbols import PolySymbol, as_phase_point, truncate_modes, wick_from_antinormal
 
 DENSE_BASIS_BUDGET = 20_000
 ERROR_FLOOR = 1e-12
@@ -52,7 +52,6 @@ __all__ = [
     "galerkin_sweeps",
     "EvolveResult",
     "schrodinger_evolve",
-    "sweep_to_csv",
     "running_slopes",
 ]
 
@@ -117,15 +116,6 @@ class RateFit:
     residual: float | None
     exact: bool
 
-    def to_json(self) -> dict:
-        return {
-            "samples": [[n, e] for n, e in self.samples],
-            "slope": self.slope,
-            "intercept": self.intercept,
-            "residual": self.residual,
-            "exact": self.exact,
-        }
-
 
 def _loglog_fit(points: Sequence[tuple[int, float]]):
     """Degree-1 least squares of log e on log n: (coefficients, residuals)."""
@@ -169,6 +159,13 @@ def reduce_hamiltonian(
     raise ValueError(f"unknown route {route!r}")
 
 
+def _check_oracle_phase(w: PolySymbol, route: str, times, max_quanta: int) -> None:
+    # exp(-i H t) for every time, H the Wick quantization of w or, on the
+    # antiwick route, of its conversion (check_phase_bound)
+    h = wick_from_antinormal(w) if route == "antiwick" else w
+    check_phase_bound(h, max(map(abs, times), default=0.0), math.sqrt(max_quanta))
+
+
 class Sweeps(list):
     """galerkin_sweeps' result: one (records, fit) pair per time, and the
     d_max reference's build and element time for all times together."""
@@ -197,7 +194,8 @@ def galerkin_sweeps(
     route; an element does not depend on the other times.  The d_max
     reference at the same quanta cutoff is built the same way, and each
     record's error is taken against the reference at its own time.  The fit
-    is a measurement; no slope is judged here.
+    is a measurement; no slope is judged here.  The d_max Hamiltonian's
+    phases are checked (check_phase_bound) before anything is built.
 
     A record's `seconds` is its member's build and element time for all
     times together, so every time reports the same value; the result's
@@ -209,6 +207,7 @@ def galerkin_sweeps(
     a_full = as_phase_point(alpha, w.modes)
     b_full = as_phase_point(beta, w.modes)
     times = [float(t) for t in times]
+    _check_oracle_phase(w, route, times, max_quanta)
 
     def member(n: int) -> tuple[int, list[complex], float]:
         start = time.perf_counter()
@@ -260,8 +259,9 @@ def schrodinger_evolve(
     the spectral decomposition (norm drift <= 1e-8); 'chernoff' multiplies
     `slices` anti-Wick slice operators per time (norm drift reported,
     typically <= 1e-3 at adequate order).  `route` picks the oracle's
-    Hamiltonian; the slices quantize the reduced symbol anti-Wick either
-    way.  t == 0 entries return the initial state unchanged.
+    Hamiltonian, whose phases over t_grid must pass check_phase_bound;
+    the slices quantize the reduced symbol anti-Wick either way.  t == 0
+    entries return the initial state unchanged.
     """
     basis_n = FockBasis(n, max_quanta)
     psi0 = np.asarray(initial, dtype=complex)
@@ -272,6 +272,7 @@ def schrodinger_evolve(
     check_initial_norm(psi0)
 
     if method == "oracle":
+        _check_oracle_phase(w, route, t_grid, max_quanta)
         evolve = ExactPropagator(reduce_hamiltonian(w, n, basis_n, route=route)).apply
     elif method == "chernoff":
         reduced = truncate_modes(w, n)
@@ -304,16 +305,3 @@ def running_slopes(records: Sequence[ConvergenceRecord]) -> list[float]:
             pts.append((r.parameter, r.abs_error))
         out.append(float(_loglog_fit(pts)[0][0]) if len(pts) >= 2 else float("nan"))
     return out
-
-
-def sweep_to_csv(records: Sequence[ConvergenceRecord], path) -> None:
-    """Columns n,re,im,abs_error,slope_running."""
-    slopes = running_slopes(records)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n", "re", "im", "abs_error", "slope_running"])
-        for r, s in zip(records, slopes):
-            writer.writerow(
-                [r.parameter, repr(r.value.real), repr(r.value.imag),
-                 repr(r.abs_error), repr(s)]
-            )

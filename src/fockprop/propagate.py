@@ -15,7 +15,6 @@ the table carries with the spectral norm of its last slice.
 
 from __future__ import annotations
 
-import csv
 import math
 import time
 from dataclasses import dataclass
@@ -32,11 +31,12 @@ from .fock import (
 from .quantize import (
     QuadratureRule,
     antiwick_quantize_function,
-    antiwick_quantize_poly,
+    check_phase_bound,
     check_quadrature_array,
     check_slice_rule,
+    wick_quantize,
 )
-from .symbols import PolySymbol
+from .symbols import PolySymbol, wick_from_antinormal
 
 # The Lanczos route of oracle_elements (Saad, SIAM J. Numer. Anal. 29 (1992)
 # 209-228): the stopping estimate's bound, the steps between checks of it,
@@ -56,8 +56,6 @@ __all__ = [
     "coherent_matrix_element",
     "feynman_convergence_table",
     "halving_ratios",
-    "records_to_csv",
-    "records_to_json",
 ]
 
 
@@ -323,13 +321,15 @@ def chernoff_step(
     """One slice operator: anti-Wick quantization of exp(-i a tau).
 
     The rule must resolve the identity on the basis (check_slice_rule),
-    and the quadrature must fit check_quadrature_array, which is asked
-    before the symbol is evaluated on the nodes.
+    and the quadrature must fit check_quadrature_array and the phase
+    check_phase_bound on the rule's radius, both asked before the symbol is
+    evaluated on the nodes.
     """
     check_slice_rule(rule.order, basis.max_quanta)
     check_quadrature_array(basis.modes, rule.order, basis.max_quanta)
     if not a.is_real():
         raise ValueError("slice symbol must be real")
+    check_phase_bound(a, tau, rule.radius)
     values = a.evaluate_grid(rule.mode_nodes).real
     return antiwick_quantize_function(basis, np.exp(-1j * tau * values), rule)
 
@@ -363,9 +363,10 @@ def feynman_convergence_table(
     """Sliced-propagator coherent elements vs the spectral oracle, per N.
 
     The reference is the oracle element of exp(-i A t), A the anti-Wick
-    quantization of `a`, from one oracle_elements call.  Each row builds
-    its slice, takes its N-th power and the element; its `seconds` covers
-    all three.  Ns must be ascending.
+    quantization of `a`, from one oracle_elements call; check_phase_bound
+    is asked for its phase first.  Each row builds its slice, takes its
+    N-th power and the element; its `seconds` covers all three.  Ns must
+    be ascending.
     """
     Ns = list(Ns)
     if any(n2 <= n1 for n1, n2 in zip(Ns, Ns[1:])):
@@ -374,7 +375,9 @@ def feynman_convergence_table(
         return ChernoffTable()
     fa = checked_coherent_components(basis, alpha)
     fb = checked_coherent_components(basis, beta)
-    reference = oracle_elements(antiwick_quantize_poly(basis, a), alpha, beta, [t])[0]
+    w = wick_from_antinormal(a)
+    check_phase_bound(w, t, math.sqrt(basis.max_quanta))
+    reference = oracle_elements(wick_quantize(basis, w), alpha, beta, [t])[0]
     table = ChernoffTable(reference=reference)
     for n in Ns:
         start = time.perf_counter()
@@ -395,29 +398,3 @@ def halving_ratios(records: Sequence[ConvergenceRecord]) -> list[tuple[int, floa
         if r2.parameter == 2 * r1.parameter and r2.abs_error > 0:
             out.append((r1.parameter, r1.abs_error / r2.abs_error))
     return out
-
-
-def records_to_csv(records: Sequence[ConvergenceRecord], path) -> None:
-    """Columns N,re,im,abs_error; wall time, the one non-deterministic
-    field, is left to timings.json."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["N", "re", "im", "abs_error"])
-        for r in records:
-            writer.writerow([r.parameter, repr(r.value.real), repr(r.value.imag),
-                             repr(r.abs_error)])
-
-
-def records_to_json(records: Sequence[ConvergenceRecord], metadata: dict) -> dict:
-    """Rows of each record's coherent element and error, without wall time."""
-    rows = [
-        {
-            "parameter": r.parameter,
-            "observable": "coherent_element",
-            "re": r.value.real,
-            "im": r.value.imag,
-            "abs_error": r.abs_error,
-        }
-        for r in records
-    ]
-    return {"metadata": dict(metadata), "records": rows}

@@ -12,6 +12,7 @@ the phase-space measure is the Hermite weight, so rule weights sum to 1.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -27,6 +28,7 @@ __all__ = [
     "gauss_hermite_rule",
     "check_quadrature_array",
     "check_slice_rule",
+    "check_phase_bound",
     "wick_quantize",
     "wick_symbol_deviation",
     "antiwick_quantize_poly",
@@ -54,6 +56,11 @@ class QuadratureRule:
     @property
     def count(self) -> int:
         return len(self.mode_weights) ** self.modes
+
+    @property
+    def radius(self) -> float:
+        """The largest modulus of a mode node."""
+        return float(np.abs(self.mode_nodes).max())
 
 
 def gauss_hermite_rule(modes: int, order: int) -> QuadratureRule:
@@ -94,6 +101,32 @@ def check_slice_rule(order: int, max_quanta: int) -> None:
     if order < max_quanta + 1:
         raise ValueError(f"rule order {order} < M + 1 = {max_quanta + 1}; "
                          "chernoff slices need Q >= M + 1")
+
+
+def check_phase_bound(a: PolySymbol, t: float, radius: float) -> None:
+    """Refuse a symbol whose phase t * a may leave the doubles where each
+    variable has modulus at most `radius`; asked before the phase is formed.
+
+    A term c z*^k* z^k is then at most |c| r^deg, and evaluate_grid forms
+    its monomial, at most r^deg, before it scales it by c; so
+    max(|t|, 1) * sum max(|c|, 1) max(r, 1)^deg, taken in logs, bounds
+    every number the phase passes through.  A slice takes r = its rule's
+    radius.  The spectral oracle takes r = sqrt(M) and the Wick symbol of
+    its Hamiltonian: on the cutoff-M basis a term sends each state to at
+    most one state, with an entry of modulus at most |c| M^(deg/2), so the
+    sum bounds every absolute row sum, and so the spectrum.
+    """
+    terms = a.terms
+    degrees = np.array([sum(ks) + sum(k) for ks, k in terms], dtype=float)
+    coeffs = np.fromiter(terms.values(), complex, len(terms))
+    log_r = math.log(max(radius, 1.0))
+    logs = np.log(np.maximum(np.abs(coeffs), 1.0)) + degrees * log_r
+    bound = np.logaddexp.reduce(logs) + math.log(max(abs(t), 1.0))
+    if bound > math.log(sys.float_info.max):
+        raise ValueError(
+            f"t * symbol may reach 10^{bound / math.log(10):.1f} at modulus "
+            f"{radius:.4g}, past the double range"
+        )
 
 
 def wick_quantize(basis: FockBasis, w: PolySymbol) -> OperatorMatrix:

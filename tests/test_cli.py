@@ -31,7 +31,7 @@ from fockprop.cli import (
     validate_config,
 )
 from fockprop.fock import FockBasis, coherent_vector
-from fockprop.galerkin import ERROR_FLOOR, galerkin_sweeps, schrodinger_evolve
+from fockprop.galerkin import ERROR_FLOOR, Flag, galerkin_sweeps, schrodinger_evolve
 from fockprop.propagate import chernoff_step, feynman_convergence_table
 from fockprop.quantize import (
     antiwick_quantize_function,
@@ -46,6 +46,14 @@ from fockprop.symbols import (
     to_term_list,
     variable,
 )
+
+
+def strict_json(text):
+    """json.loads that refuses NaN and Infinity, which are not JSON."""
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
 
 
 def write_config(tmp_path, cfg, name="config.json"):
@@ -265,7 +273,9 @@ class TestRunKinds:
         report = run_config(cfg, tmp_path)
         assert not report["passed"]
         by_name = {c["name"]: c for c in report["checks"]}
-        assert by_name["roundtrip-max-deviation"]["value"] == math.inf
+        # past the doubles the deviation has no value; strict JSON holds null
+        assert by_name["roundtrip-max-deviation"]["value"] is None
+        assert strict_json((tmp_path / "report.json").read_text()) == report
 
     def test_lower_bound_past_double_range_runs_to_a_report(self, tmp_path):
         # sample 29 of seed 222 has a coefficient whose degree-333
@@ -275,6 +285,25 @@ class TestRunKinds:
                "degree": 333, "count": 30, "seed": 222}
         validate_config(cfg)
         assert run_config(cfg, tmp_path)["passed"]
+
+    @pytest.mark.parametrize("overrides", [
+        {"radius": 1000.0},  # the phase-grid scan overflows
+        {"Q": 100, "radius": 1.0},  # the node values overflow
+    ], ids=["grid", "nodes"])
+    def test_lower_bound_values_past_double_range_fail_the_check(
+        self, tmp_path, capsys, overrides
+    ):
+        cfg = {"schema": 1, "kind": "lower-bound", "d": 1, "M": 6, "Q": 8,
+               "degree": 300, "count": 3, "seed": 1, **overrides}
+        path = write_config(tmp_path, cfg)
+        assert main(["validate", str(path)]) == EXIT_OK
+        out = tmp_path / "out"
+        assert main(["run", str(path), "--out-dir", str(out)]) == EXIT_CHECK_FAILED
+        assert "FAILED: antiwick-min-eigenvalue" in capsys.readouterr().err
+        report = strict_json((out / "report.json").read_text())
+        assert report["checks"][0]["value"] is None
+        # no sample reached the exact route
+        assert report["metrics"]["poly_route_min_eigenvalue"] is None
 
     def test_lower_bound(self, tmp_path):
         report = run_config(
@@ -406,6 +435,47 @@ class TestChernoffTable:
         ]
 
 
+class TestArtifactFormats:
+    """The CLI formats every file a run writes."""
+
+    def test_chernoff_table_files(self, tmp_path):
+        cfg = chernoff_config(Ns=[4, 8, 16])
+        run_config(cfg, tmp_path)
+        lines = (tmp_path / "chernoff_table.csv").read_text().splitlines()
+        assert lines[0] == "N,re,im,abs_error"
+        assert [line.split(",")[0] for line in lines[1:]] == ["4", "8", "16"]
+        table = strict_json((tmp_path / "chernoff_table.json").read_text())
+        assert set(table["metadata"]) == {"d", "M", "Q", "t", "symbol_digest"}
+        assert (table["metadata"]["Q"], table["metadata"]["t"]) == (8, 0.5)
+        # wall time is left to timings.json
+        assert set(table["records"][0]) == {
+            "parameter", "observable", "re", "im", "abs_error"
+        }
+
+    def test_galerkin_sweep_csvs(self, tmp_path):
+        cfg = dict(GALERKIN, M=6)
+        run_config(cfg, tmp_path)
+        for name in ("galerkin_sweep.csv", "galerkin_sweep_scaled.csv"):
+            lines = (tmp_path / name).read_text().splitlines()
+            assert lines[0] == "n,re,im,abs_error,slope_running"
+            assert [int(line.split(",")[0]) for line in lines[1:]] == cfg["flag"]
+
+    def test_galerkin_fit_json_keys(self, tmp_path):
+        report = run_config(dict(GALERKIN, M=6), tmp_path)
+        fit = strict_json((tmp_path / "galerkin_fit.json").read_text())
+        assert set(fit) == {
+            "samples", "slope", "intercept", "residual", "exact", "threshold", "pass"
+        }
+        assert fit == report["metrics"]["fit"]
+
+
+class TestStrictReports:
+    @pytest.mark.parametrize("name", sorted(standard_configs()))
+    def test_report_is_its_file(self, tmp_path, name):
+        report = run_config(standard_configs()[name], tmp_path)
+        assert strict_json((tmp_path / "report.json").read_text()) == report
+
+
 class TestChernoffSliceCount:
     def test_one_quadrature_per_slice_count(self, tmp_path, monkeypatch):
         # the contractivity check reuses the last N's slice
@@ -440,6 +510,13 @@ def with_imaginary_term(cfg):
 OVERFLOWING_SYMBOL = [
     {"kstar": [1], "k": [1], "re": 1.0, "im": 0.0},
     {"kstar": [200], "k": [200], "re": 1e-300, "im": 0.0},
+]
+
+# |z|^300 at the Q = 40 rule's largest node, 11.45, is 10^317.7; the
+# coefficient 1e-30 would scale it back, but evaluation forms it first
+SLICE_OVERFLOWING_SYMBOL = [
+    {"kstar": [1], "k": [1], "re": 1.0, "im": 0.0},
+    {"kstar": [150], "k": [150], "re": 1e-30, "im": 0.0},
 ]
 
 # configs that `run` cannot finish, so `validate` must refuse them:
@@ -523,11 +600,17 @@ RUN_PRECONDITIONS = [
     ("t-scaling-window-inverted", "t_scaling.window",
      dict(GALERKIN, t_scaling=dict(GALERKIN["t_scaling"], window=[6.0, 2.5])),
      "low 6.0 > high 2.5"),
-    # at M = 16 the norm overflows (1e11) or the components do (1e100), so
-    # the start cannot be normalized
+    # at M = 16 the norm overflows (17 components up to 1.3e308 in the top
+    # shell) or the components do (1e100), so the start cannot be normalized
     ("coherent-norm-overflow", "initial.alpha",
-     dict(standard_configs()["evolve"],
-          initial={"type": "coherent", "alpha": [[1e11, 0.0]]}),
+     dict(standard_configs()["evolve"], d=2,
+          symbol=to_term_list(coupled_quartic(modes=2)),
+          initial={"type": "coherent", "alpha": [[3.5e19, 0.0], [3.5e19, 0.0]]}),
+     "coherent norm inf is not finite"),
+    # 1e39^8 / sqrt(8!) is past the doubles; 1e20 at M = 8 runs
+    ("coherent-components-overflow-m8", "initial.alpha",
+     dict(standard_configs()["evolve"], M=8,
+          initial={"type": "coherent", "alpha": [[1e39, 0.0]]}),
      "coherent norm inf is not finite"),
     ("coherent-components-overflow", "initial.alpha",
      dict(standard_configs()["evolve"],
@@ -543,6 +626,28 @@ RUN_PRECONDITIONS = [
          {"kstar": [200, 0, 0, 0], "k": [200, 0, 0, 0], "re": 1e-300, "im": 0.0}
      ]),
      r"term z\*1\^200·z1\^200 has a conversion weight"),
+    # the slice symbol's values leave the doubles on the rule's nodes; the
+    # runs used to end in "values are non-finite at a quadrature node"
+    ("chernoff-slice-overflow", "symbol",
+     chernoff_config(M=10, Q=40, symbol=SLICE_OVERFLOWING_SYMBOL),
+     r"t \* symbol may reach 10\^317.7 at modulus 11.45, past the double range"),
+    ("evolve-chernoff-slice-overflow", "symbol",
+     dict(standard_configs()["evolve"], M=10, Q=40, method="chernoff",
+          symbol=SLICE_OVERFLOWING_SYMBOL),
+     r"t \* symbol may reach 10\^317.7 at modulus 11.45"),
+    # the symbol's values fit, but a slice of length 1.25e304 scales them
+    # past; the oracle's phase, at modulus sqrt(M) = 2.449, still fits
+    ("chernoff-slice-phase-overflow", "symbol", chernoff_config(t=1e305, Q=40),
+     r"10\^309.0 at modulus 11.45"),
+    # the spectral oracle's exp(-i lambda t) overflows to NaN, which the
+    # strict report writer refuses: its bound at modulus sqrt(M)
+    ("chernoff-reference-phase-overflow", "symbol",
+     chernoff_config(t=1e307, Ns=[100000, 200000]), r"10\^309.3 at modulus 2.449"),
+    ("galerkin-phase-overflow", "symbol",
+     dict(GALERKIN, t_scaling=dict(GALERKIN["t_scaling"], base_t=1e306, factor=100.0)),
+     r"10\^312.3 at modulus 2.828"),
+    ("evolve-oracle-phase-overflow", "symbol",
+     dict(standard_configs()["evolve"], t_grid=[0.0, 1e308]), r"10\^309.2 at modulus 4,"),
     ("roundtrip-degree", "degree",
      {"schema": 1, "kind": "symbol-roundtrip", "d": 1, "degree": 400},
      "degree 400 gives conversion weights past the double range"),
@@ -588,6 +693,14 @@ class TestRunPreconditions:
         assert main(["validate", str(write_config(tmp_path, cfg))]) == EXIT_OK
         assert "quadrature nodes" not in capsys.readouterr().out
 
+    def test_coherent_start_with_squares_past_the_doubles_runs(self, tmp_path):
+        # the top component of the M = 8 start at 1e20 is 5.0e157: its
+        # square overflows, but the scaled norm normalizes it
+        cfg = dict(standard_configs()["evolve"], M=8,
+                   initial={"type": "coherent", "alpha": [[1e20, 0.0]]})
+        assert abs(np.linalg.norm(validate_config(cfg)["initial"]) - 1) <= 1e-8
+        assert run_config(cfg, tmp_path)["passed"]
+
     def test_normalized_vector_runs(self, tmp_path):
         cfg = evolve_vector_config([[0.6, 0.0], [0.0, 0.8], [0.0, 0.0], [0.0, 0.0]])
         validate_config(cfg)
@@ -607,6 +720,34 @@ def evolve_vacuum_of(cfg):
     vacuum = coherent_vector(FockBasis(d, M), [0.0] * d).components
     return schrodinger_evolve(from_term_list(cfg["symbol"]), d, vacuum, cfg["t_grid"],
                               M, order=cfg.get("Q"), method="chernoff")
+
+
+def evolve_oracle_of(cfg):
+    """The oracle evolution of the vacuum that an evolve config asks for."""
+    d, M = cfg["d"], cfg["M"]
+    vacuum = coherent_vector(FockBasis(d, M), [0.0] * d).components
+    return schrodinger_evolve(from_term_list(cfg["symbol"]), d, vacuum, cfg["t_grid"], M)
+
+
+def chernoff_table_of(cfg):
+    """The table a chernoff sweep builds for `cfg`."""
+    d, M = cfg["d"], cfg["M"]
+    [probe] = cfg["probes"]
+    alpha, beta = ([complex(*p) for p in probe[side]] for side in ("alpha", "beta"))
+    return feynman_convergence_table(
+        from_term_list(cfg["symbol"]), cfg["t"], cfg["Ns"], alpha, beta,
+        FockBasis(d, M), gauss_hermite_rule(d, cfg["Q"]),
+    )
+
+
+def galerkin_sweep_of(cfg):
+    """The sweeps a galerkin config runs, at its time and its scaling's two."""
+    d, scaling = cfg["d"], cfg["t_scaling"]
+    [probe] = cfg["probes"]
+    alpha, beta = ([complex(*p) for p in probe[side]] for side in ("alpha", "beta"))
+    times = [cfg["t"], scaling["base_t"], scaling["factor"] * scaling["base_t"]]
+    return galerkin_sweeps(from_term_list(cfg["symbol"]), Flag(d, tuple(cfg["flag"])),
+                           times, alpha, beta, cfg["M"])
 
 
 def coherent_start_of(cfg):
@@ -631,6 +772,13 @@ LIBRARY_REFUSALS = {
     ),
     "coherent-norm-overflow": coherent_start_of,
     "coherent-components-overflow": coherent_start_of,
+    "coherent-components-overflow-m8": coherent_start_of,
+    "chernoff-slice-overflow": chernoff_slice_of,
+    "evolve-chernoff-slice-overflow": evolve_vacuum_of,
+    "chernoff-slice-phase-overflow": chernoff_slice_of,
+    "chernoff-reference-phase-overflow": chernoff_table_of,
+    "galerkin-phase-overflow": galerkin_sweep_of,
+    "evolve-oracle-phase-overflow": evolve_oracle_of,
     "chernoff-conversion-overflow": lambda cfg: antiwick_quantize_poly(
         FockBasis(cfg["d"], cfg["M"]), from_term_list(cfg["symbol"])
     ),

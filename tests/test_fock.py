@@ -367,13 +367,31 @@ class TestCoherentVector:
     @pytest.mark.parametrize("d,alpha,norm", [
         (2, [1e200, 0.0], "nan"),  # inf components times 0 across modes
         (1, [1e100], "(inf|nan)"),  # the components overflow
-        (1, [1e11], "inf"),  # finite components, but their norm overflows
+        (1, [1e20], "inf"),  # the top component overflows, at 1e320 / sqrt(16!)
+        # components up to 1.3e308, but 17 of them share the top shell
+        (2, [3.5e19, 3.5e19], "inf"),
     ])
     def test_refuses_overflow(self, d, alpha, norm):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=f"coherent norm {norm} is not finite"):
                 coherent_vector(FockBasis(d, 16), alpha)
+
+    def test_finite_norm_with_squares_past_the_doubles(self):
+        # the largest component is 5.0e157: its square overflows, the norm does not
+        cv = coherent_vector(FockBasis(1, 8), [1e20])
+        top = 1e160 / math.sqrt(math.factorial(8))
+        assert cv.norm == pytest.approx(top, rel=1e-15)
+        np.testing.assert_allclose(np.linalg.norm(cv.components / cv.norm), 1.0,
+                                   rtol=1e-15)
+        with pytest.raises(ValueError, match="coherent norm inf is not finite"):
+            coherent_vector(FockBasis(1, 8), [1e39])
+
+    def test_norm_is_the_unscaled_norm_where_that_fits(self):
+        # the power-of-two scaling is exact, so ordinary norms are unchanged
+        for alpha in ([0.5], [0.4 + 0.2j, -0.3], [2.0, 1.5j, 0.1]):
+            cv = coherent_vector(FockBasis(len(alpha), 8), alpha)
+            assert cv.norm == np.linalg.norm(cv.components)
 
     def test_cutoff_past_the_float_factorial(self):
         # 171! overflows a double; a^n / sqrt(n!) at |a| = 3 stays above 1e-165

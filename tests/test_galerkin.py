@@ -11,7 +11,6 @@ from fockprop.galerkin import (
     galerkin_sweeps,
     reduce_hamiltonian,
     schrodinger_evolve,
-    sweep_to_csv,
 )
 from fockprop.propagate import ExactPropagator, coherent_matrix_element
 from fockprop.quantize import wick_quantize
@@ -119,11 +118,6 @@ class TestRateFit:
         fit = fit_rate([(1, 0.1), (2, 0.05)])
         assert not fit.exact and fit.slope is None
 
-    def test_json_shape(self):
-        fit = fit_rate([(n, 1.0 / n) for n in (1, 2, 4)])
-        payload = fit.to_json()
-        assert set(payload) == {"samples", "slope", "intercept", "residual", "exact"}
-
 
 class TestGalerkinSweep:
     def test_mode_one_symbol_is_exact(self):
@@ -150,19 +144,6 @@ class TestGalerkinSweep:
         flag = Flag(d_max=4, ns=(1, 2, 3))
         with pytest.raises(ValueError, match="exceeds"):
             galerkin_sweeps(w, flag, [0.1], [0.1] * 4, [0.1] * 4, max_quanta=60)
-
-    def test_csv_writer(self, tmp_path):
-        w = coupled_quartic()
-        flag = Flag(d_max=4, ns=(1, 2, 3))
-        [(records, _)] = galerkin_sweeps(
-            w, flag, [0.2], np.array([0.3, 0, 0, 0], dtype=complex),
-            np.array([0.2, 0, 0, 0], dtype=complex), max_quanta=7,
-        )
-        path = tmp_path / "sweep.csv"
-        sweep_to_csv(records, path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "n,re,im,abs_error,slope_running"
-        assert len(lines) == 4
 
 
 class TestGalerkinSweeps:

@@ -15,8 +15,6 @@ from fockprop.propagate import (
     feynman_convergence_table,
     halving_ratios,
     oracle_elements,
-    records_to_csv,
-    records_to_json,
 )
 from fockprop.quantize import antiwick_quantize_poly, gauss_hermite_rule, wick_quantize
 from fockprop.symbols import PolySymbol, conj_variable, variable
@@ -490,18 +488,3 @@ class TestConvergenceTable:
         )
         ratios = halving_ratios(records)
         assert [n for n, _ in ratios] == [8, 24]
-
-    def test_csv_and_json_writers(self, tmp_path):
-        basis = enumerate_basis(1, 8)
-        rule = gauss_hermite_rule(1, 10)
-        records = feynman_convergence_table(
-            zz(), 0.3, [2, 4], np.array([0.2 + 0j]), np.array([0.1 + 0j]),
-            basis, rule,
-        )
-        path = tmp_path / "table.csv"
-        records_to_csv(records, path)
-        assert path.read_text().splitlines()[0] == "N,re,im,abs_error"
-
-        payload = records_to_json(records, {"d": 1})
-        assert payload["metadata"] == {"d": 1}
-        assert "seconds" not in payload["records"][0]
