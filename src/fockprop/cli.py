@@ -21,6 +21,7 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
+import orjson
 
 from . import __version__
 from .fock import FockBasis, ccr_defect, check_coherent_tail, coherent_vector
@@ -83,6 +84,11 @@ EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_BUDGET = 3
 
+# orjson's nesting limit: the containers around any value of a payload
+JSON_MAX_DEPTH = 255
+JSON_OPTIONS = (orjson.OPT_SORT_KEYS | orjson.OPT_SERIALIZE_NUMPY
+                | orjson.OPT_APPEND_NEWLINE)
+
 # galerkin-sweep passes rate-slope when its log-log slope is at most this
 DEFAULT_SLOPE_THRESHOLD = -0.8
 
@@ -141,6 +147,62 @@ def _is_finite(val) -> bool:
                 and math.isfinite(val))
     except OverflowError:
         return False
+
+
+def _fault(obj, depth: int = 0) -> str | None:
+    """`path: fault` of the first part of `obj` strict JSON cannot hold.
+
+    `depth` counts the containers around `obj` in the file.  Strict JSON
+    has no NaN or Infinity, and orjson writes neither an integer outside
+    [-2**63, 2**64) nor containers nested more than JSON_MAX_DEPTH deep.
+    Walks dicts, lists and tuples on an explicit stack; an ndarray is
+    checked whole.
+    """
+    stack = [("", obj, depth)]
+    while stack:
+        path, val, depth = stack.pop()
+        if isinstance(val, (dict, list, tuple)):
+            if depth >= JSON_MAX_DEPTH:
+                return f"{path}: nested more than {JSON_MAX_DEPTH} deep"
+            if isinstance(val, dict):
+                children = [(f"{path}.{key}" if path else str(key), item)
+                            for key, item in val.items()]
+            else:
+                children = [(f"{path}[{i}]", item) for i, item in enumerate(val)]
+            # reversed, so the first fault in document order is found first
+            stack.extend((at, item, depth + 1) for at, item in reversed(children))
+        elif isinstance(val, np.ndarray):
+            if not np.isfinite(val).all():
+                return f"{path}: expected finite numbers"
+        elif isinstance(val, (float, np.floating)):
+            if not math.isfinite(val):
+                return f"{path}: expected a finite number, got {val!r}"
+        elif isinstance(val, int) and not isinstance(val, bool):
+            if not -2**63 <= val < 2**64:
+                return f"{path}: expected an integer from -2**63 to 2**64 - 1"
+    return None
+
+
+def _encode(payload, depth: int = 0) -> bytes:
+    """The JSON file of `payload`: compact, sorted keys, shortest round-trip
+    floats, a closing newline.
+
+    Raises ValueError `path: fault` for a part strict JSON cannot hold
+    where `payload` sits `depth` containers down in a file; the bytes then
+    wrap it in as many lists.
+    """
+    wrapped = payload
+    for _ in range(depth):
+        wrapped = [wrapped]
+    try:
+        data = orjson.dumps(wrapped, option=JSON_OPTIONS)
+    except orjson.JSONEncodeError as exc:
+        raise ValueError(_fault(payload, depth) or f": {exc}") from exc
+    # orjson writes NaN and Infinity as null: only bytes with a null can
+    # hold one, and only those are walked
+    if b"null" in data and (fault := _fault(payload, depth)):
+        raise ValueError(fault)
+    return data
 
 
 def _is_pair(obj) -> bool:
@@ -405,6 +467,12 @@ def validate_config(cfg) -> dict:
         info["rule"] = gauss_hermite_rule(d, info["Q"])
         _ask("symbol", check_phase_bound, info["symbol"], slice_tau,
              info["rule"].radius)
+    # every key, read or not, must fit the report that echoes the config
+    # one level down
+    try:
+        _encode(cfg, depth=1)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     return info
 
 
@@ -611,9 +679,8 @@ def _run_evolve(run, rng):
     payload = {
         "times": list(result.times),
         "norm_defects": list(result.norm_defects),
-        "states": [
-            np.column_stack((s.real, s.imag)).tolist() for s in result.states
-        ],
+        # (time, state, [re, im]), one C-contiguous float64 array
+        "states": np.stack(result.states).view(float).reshape(len(result.times), -1, 2),
         "basis": {"modes": d, "max_quanta": M},
         "route": run["route"],
         "method": method,
@@ -637,8 +704,7 @@ _RUNNERS = {
 
 
 def _write_json(path, payload) -> None:
-    # compact: json's C encoder does not indent; strict: no NaN or Infinity
-    Path(path).write_text(json.dumps(payload, sort_keys=True, allow_nan=False) + "\n")
+    Path(path).write_bytes(_encode(payload))
 
 
 def _write_csv(path, header, rows) -> None:
@@ -717,7 +783,9 @@ def _load_config(path: str) -> dict:
         raise ConfigError(f": cannot read config file: {exc}") from exc
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    # a decode error, an integer past Python's 4300-digit conversion limit,
+    # or nesting past the recursion limit
+    except (ValueError, RecursionError) as exc:
         raise ConfigError(f": config is not valid JSON: {exc}") from exc
 
 

@@ -25,7 +25,9 @@ from fockprop.cli import (
     EXIT_CHECK_FAILED,
     EXIT_CONFIG,
     EXIT_OK,
+    JSON_MAX_DEPTH,
     _write_artifact,
+    _write_json,
     main,
     run_config,
     validate_config,
@@ -142,19 +144,74 @@ NON_FINITE = {
         standard_configs()["evolve"],
         symbol=[{"kstar": [1], "k": [1], "re": float("nan"), "im": 0.0}],
     ),
+    # keys no kind reads are echoed in report.json, so they must be finite too
+    "note": lambda: dict(standard_configs()["ccr_check"], note=float("nan")),
+    "notes.limits[1]": lambda: dict(
+        standard_configs()["ccr_check"], notes={"limits": [0.0, float("-inf")]}
+    ),
 }
+
+# the report's encoder refuses integers outside [-2**63, 2**64)
+WIDE_INTEGERS = {
+    "seed": lambda: dict(standard_configs()["ccr_check"], seed=10**23),
+    "note": lambda: dict(standard_configs()["ccr_check"], note=10**30),
+    "notes[0]": lambda: dict(standard_configs()["ccr_check"], notes=[-2**63 - 1]),
+}
+
+
+def assert_exit_config_error(tmp_path, capsys, command, cfg, field):
+    path = write_config(tmp_path, cfg)
+    out = tmp_path / "out"
+    argv = [command, str(path)] + (["--out-dir", str(out)] if command == "run" else [])
+    assert main(argv) == EXIT_CONFIG
+    assert f"config error: {field}:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 class TestNonFiniteNumbers:
     @pytest.mark.parametrize("command", ["validate", "run"])
     @pytest.mark.parametrize("field", sorted(NON_FINITE))
     def test_exit_config_error(self, tmp_path, capsys, command, field):
-        path = write_config(tmp_path, NON_FINITE[field]())
-        out = tmp_path / "out"
-        argv = [command, str(path)] + (["--out-dir", str(out)] if command == "run" else [])
-        assert main(argv) == EXIT_CONFIG
-        assert f"config error: {field}:" in capsys.readouterr().err
-        assert not out.exists()
+        assert_exit_config_error(tmp_path, capsys, command, NON_FINITE[field](), field)
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize("field", sorted(WIDE_INTEGERS))
+    def test_integer_past_64_bits(self, tmp_path, capsys, command, field):
+        cfg = WIDE_INTEGERS[field]()
+        assert_exit_config_error(tmp_path, capsys, command, cfg, field)
+
+    @pytest.mark.parametrize("note", ["1" * 5000, "[" * 100_000 + "]" * 100_000],
+                             ids=["5000-digits", "nested-100000-deep"])
+    def test_unreadable_number_or_nesting(self, tmp_path, capsys, note):
+        path = tmp_path / "config.json"
+        path.write_text('{"schema": 1, "kind": "ccr-check", "d": 1, "M": 4, '
+                        f'"note": {note}}}')
+        assert main(["validate", str(path)]) == EXIT_CONFIG
+        assert "config error: : config is not valid JSON" in capsys.readouterr().err
+
+    def test_nesting_the_report_can_echo(self, tmp_path, capsys):
+        # the report holds the config one level down; orjson writes at most
+        # JSON_MAX_DEPTH levels, so a config may nest one level fewer
+        note = 0
+        for _ in range(JSON_MAX_DEPTH - 2):
+            note = [note]
+        cfg = dict(standard_configs()["ccr_check"], note=note)
+        report = run_config(cfg, tmp_path / "ok")
+        assert json.loads((tmp_path / "ok" / "report.json").read_text()) == report
+        cfg["note"] = [note]
+        assert_exit_config_error(
+            tmp_path, capsys, "run", cfg, "note" + "[0]" * (JSON_MAX_DEPTH - 2)
+        )
+
+    def test_library_run_refuses_before_it_writes(self, tmp_path):
+        with pytest.raises(ConfigError, match=r"^note: expected a finite number"):
+            run_config(NON_FINITE["note"](), tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
+    def test_64_bit_extremes_run(self, tmp_path):
+        cfg = dict(standard_configs()["ccr_check"], seed=2**64 - 1, note=[-2**63])
+        report = run_config(cfg, tmp_path)
+        assert strict_json((tmp_path / "report.json").read_text()) == report
 
     @pytest.mark.parametrize("field,cfg", [
         ("t", chernoff_config(t=10**400)),
@@ -474,6 +531,42 @@ class TestStrictReports:
     def test_report_is_its_file(self, tmp_path, name):
         report = run_config(standard_configs()[name], tmp_path)
         assert strict_json((tmp_path / "report.json").read_text()) == report
+
+
+class TestWriteJson:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("wrap,where", [
+        pytest.param(lambda v: {"a": {"b": v}}, "a.b", id="dict"),
+        pytest.param(lambda v: {"a": [0.0, (1.0, v)]}, "a[1][1]", id="list"),
+        pytest.param(lambda v: {"a": np.array([[0.0, v]])}, "a", id="ndarray"),
+    ])
+    def test_refuses_non_finite(self, tmp_path, bad, wrap, where):
+        message = rf"^{re.escape(where)}: expected (a )?finite"
+        with pytest.raises(ValueError, match=message):
+            _write_json(tmp_path / "x.json", wrap(bad))
+        assert not (tmp_path / "x.json").exists()
+
+    def test_refused_artifact_leaves_no_file(self, tmp_path):
+        payload = {"states": np.array([1.0, math.nan])}
+        with pytest.raises(ValueError):
+            _write_artifact(tmp_path, "states.json",
+                            lambda path: _write_json(path, payload))
+        assert not list(tmp_path.iterdir())
+
+    def test_evolve_states_round_trip_bit_for_bit(self, tmp_path, monkeypatch):
+        results = []
+
+        def evolve(*args, **kwargs):
+            results.append(schrodinger_evolve(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(fockprop.cli, "schrodinger_evolve", evolve)
+        run_config(standard_configs()["evolve"], tmp_path)
+        [result] = results
+        states = np.array(strict_json((tmp_path / "states.json").read_text())["states"])
+        expected = np.stack(result.states).view(float)
+        assert states.shape == (len(result.times), expected.shape[1] // 2, 2)
+        assert np.array_equal(states.reshape(expected.shape), expected)
 
 
 class TestChernoffSliceCount:
