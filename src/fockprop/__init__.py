@@ -46,7 +46,7 @@ from .propagate import (
     ConvergenceRecord,
     ExactPropagator,
     oracle_elements,
-    chernoff_step,
+    chernoff_slices,
     chernoff_propagator,
     coherent_matrix_element,
     feynman_convergence_table,

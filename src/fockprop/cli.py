@@ -368,6 +368,9 @@ def validate_config(cfg) -> dict:
         ns = _get_counts(cfg, "Ns")
         if any(b <= a for a, b in zip(ns, ns[1:])):
             raise ConfigError("Ns: must be strictly ascending")
+        # the halving-ratio check reads only adjacent N, 2N pairs
+        if not any(b == 2 * a for a, b in zip(ns, ns[1:])):
+            raise ConfigError("Ns: needs an adjacent pair N, 2N for a halving ratio")
         info["Ns"] = ns
         oracle_t, slice_tau = info["t"], info["t"] / ns[0]
         _ask("Q", check_slice_rule, Q, M)

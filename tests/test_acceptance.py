@@ -20,7 +20,7 @@ from fockprop.propagate import (
     ExactPropagator,
     SliceSchedule,
     chernoff_propagator,
-    chernoff_step,
+    chernoff_slices,
     coherent_matrix_element,
     feynman_convergence_table,
     halving_ratios,
@@ -161,7 +161,8 @@ def test_criterion_5_chernoff_convergence():
     errs = {}
     for n in (8, 64):
         sched = SliceSchedule(t, n)
-        prop = chernoff_propagator(chernoff_step(quad, sched.tau, basis8, rule8), sched)
+        [step] = chernoff_slices(quad, [sched.tau], basis8, rule8)
+        prop = chernoff_propagator(step, sched)
         errs[n] = abs(coherent_matrix_element(prop, alpha, beta) - closed)
     quadratic_ok = errs[64] <= errs[8] / 4
 

@@ -34,7 +34,7 @@ from fockprop.cli import (
 )
 from fockprop.fock import FockBasis, coherent_vector
 from fockprop.galerkin import ERROR_FLOOR, Flag, galerkin_sweeps, schrodinger_evolve
-from fockprop.propagate import chernoff_step, feynman_convergence_table
+from fockprop.propagate import chernoff_slices, feynman_convergence_table
 from fockprop.quantize import (
     antiwick_quantize_function,
     antiwick_quantize_poly,
@@ -287,7 +287,8 @@ class TestGridEvaluation:
         return calls
 
     def test_chernoff_step(self, evaluate_calls):
-        chernoff_step(quartic_oscillator(), 0.05, FockBasis(1, 6), gauss_hermite_rule(1, 8))
+        list(chernoff_slices(quartic_oscillator(), [0.05], FockBasis(1, 6),
+                             gauss_hermite_rule(1, 8)))
         assert evaluate_calls == []
 
     def test_lower_bound_run(self, evaluate_calls, tmp_path):
@@ -690,6 +691,10 @@ RUN_PRECONDITIONS = [
     # an inverted window fails its check whatever the run computes
     ("halving-window-inverted", "halving_window",
      chernoff_config(halving_window=[2.4, 1.6]), "low 2.4 > high 1.6"),
+    # halving ratios pair only adjacent N, 2N: without such a pair the
+    # halving-ratio check had no ratio and failed after every row was built
+    ("Ns-single", "Ns", chernoff_config(Ns=[8]), "adjacent pair N, 2N"),
+    ("Ns-no-doubling", "Ns", chernoff_config(Ns=[8, 12, 20]), "adjacent pair N, 2N"),
     ("t-scaling-window-inverted", "t_scaling.window",
      dict(GALERKIN, t_scaling=dict(GALERKIN["t_scaling"], window=[6.0, 2.5])),
      "low 6.0 > high 2.5"),
@@ -766,6 +771,11 @@ class TestRunPreconditions:
         assert f"config error: {field}:" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_ns_with_one_doubling_is_valid(self, tmp_path):
+        cfg = chernoff_config(Ns=[8, 16, 24])
+        assert validate_config(cfg)["Ns"] == [8, 16, 24]
+        assert run_config(cfg, tmp_path)["metrics"]["ratios"].keys() == {"8"}
+
     def test_slice_order_m_plus_one_is_valid(self):
         assert validate_config(chernoff_config(M=7, Q=8))["Q"] == 8
 
@@ -803,8 +813,9 @@ class TestRunPreconditions:
 def chernoff_slice_of(cfg):
     """The slice a chernoff sweep builds for `cfg`, at its first N."""
     d, M = cfg["d"], cfg["M"]
-    return chernoff_step(from_term_list(cfg["symbol"]), cfg["t"] / cfg["Ns"][0],
-                         FockBasis(d, M), gauss_hermite_rule(d, cfg["Q"]))
+    [step] = chernoff_slices(from_term_list(cfg["symbol"]), [cfg["t"] / cfg["Ns"][0]],
+                             FockBasis(d, M), gauss_hermite_rule(d, cfg["Q"]))
+    return step
 
 
 def evolve_vacuum_of(cfg):
@@ -919,7 +930,7 @@ def small_configs(draw):
     elif kind == "lower-bound":
         cfg.update(degree=draw(st.sampled_from([2, 4])), count=1)
     elif kind == "chernoff-sweep":
-        cfg["Ns"] = draw(st.sampled_from([[1], [2, 4], [4, 8]]))
+        cfg["Ns"] = draw(st.sampled_from([[1, 2], [2, 4], [4, 8]]))
     elif kind == "galerkin-sweep":
         cfg["flag"] = sorted(draw(st.sets(st.integers(1, d + 1), min_size=1)))
         cfg["route"] = draw(st.sampled_from(["wick", "antiwick"]))

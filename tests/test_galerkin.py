@@ -209,6 +209,21 @@ class TestSchrodingerEvolve:
         run_config(cfg, tmp_path)
         assert calls == []
 
+    def test_oracle_matches_per_time_apply(self):
+        # all times go through one apply call; t == 0 is the initial state
+        M, w = 6, coupled_quartic(modes=2)
+        basis = enumerate_basis(2, M)
+        comp = coherent_vector(basis, [0.3, 0.2j]).components
+        psi0 = comp / np.linalg.norm(comp)
+        t_grid = [0.0, 0.4, -0.9, 0.0, 1.6]
+        result = schrodinger_evolve(w, 2, psi0, t_grid, M)
+        prop = ExactPropagator(wick_quantize(basis, w))
+        for t, state in zip(t_grid, result.states, strict=True):
+            if t == 0.0:
+                np.testing.assert_array_equal(state, psi0)
+            else:
+                assert np.abs(state - prop.apply(psi0, t)).max() <= 1e-14
+
     def test_vacuum_stationary_under_number_operator(self):
         basis = enumerate_basis(1, 8)
         psi0 = np.zeros(basis.size, dtype=complex)

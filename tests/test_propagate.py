@@ -5,23 +5,34 @@ from hypothesis import strategies as st
 
 from fockprop.benchmarks import coupled_quartic, quartic_oscillator
 from fockprop.fock import OperatorMatrix, enumerate_basis
+from fockprop.galerkin import schrodinger_evolve
 from fockprop.propagate import (
     ExactPropagator,
     SliceSchedule,
     _hermitian_blocks,
     chernoff_propagator,
-    chernoff_step,
+    chernoff_slices,
     coherent_matrix_element,
     feynman_convergence_table,
     halving_ratios,
     oracle_elements,
 )
-from fockprop.quantize import antiwick_quantize_poly, gauss_hermite_rule, wick_quantize
+from fockprop.quantize import (
+    antiwick_quantize_function,
+    antiwick_quantize_poly,
+    gauss_hermite_rule,
+    wick_quantize,
+)
 from fockprop.symbols import PolySymbol, conj_variable, variable
 
 
 def zz(d=1):
     return conj_variable(d, 1) * variable(d, 1)
+
+
+def slice_of(a, tau, basis, rule):
+    [step] = chernoff_slices(a, [tau], basis, rule)
+    return step
 
 
 class TestExactEvolution:
@@ -77,6 +88,37 @@ class TestExactEvolution:
         states = rng.standard_normal((basis.size, 3)) + 1j * rng.standard_normal((basis.size, 3))
         columns = np.column_stack([prop.apply(states[:, k], 0.6) for k in range(3)])
         np.testing.assert_allclose(prop.apply(states, 0.6), columns, atol=1e-13)
+
+    @pytest.mark.parametrize("name,columns", [
+        ("two-sector-real", 1), ("complex-hermitian", 1), ("two-sector-real", 3),
+    ])
+    def test_apply_to_times_matches_each_time(self, name, columns):
+        h = {
+            # the quartic couples N to N +- 2 and N +- 4: two parity sectors
+            "two-sector-real": lambda: wick_quantize(
+                enumerate_basis(2, 6), coupled_quartic(modes=2)),
+            "complex-hermitian": lambda: wick_quantize(
+                enumerate_basis(1, 8),
+                zz() + 1j * conj_variable(1, 1) - 1j * variable(1, 1)),
+        }[name]()
+        prop = ExactPropagator(h)
+        assert len(prop.sectors) == (2 if name == "two-sector-real" else 1)
+        rng = np.random.default_rng(7)
+        shape = (h.basis.size, columns) if columns > 1 else (h.basis.size,)
+        states = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        times = np.array([0.3, -1.1, 0.0, 2.5])
+        evolved = prop.apply(states, times)
+        assert evolved.shape == (len(times),) + shape
+        for k, t in enumerate(times):
+            assert np.abs(evolved[k] - prop.apply(states, t)).max() <= 1e-14
+
+    def test_scalar_time_keeps_state_shape(self):
+        h = wick_quantize(enumerate_basis(2, 4), coupled_quartic(modes=2))
+        prop = ExactPropagator(h)
+        size = prop.basis.size
+        assert prop.apply(np.ones(size), 0.4).shape == (size,)
+        assert prop.apply(np.ones((size, 2)), 0.4).shape == (size, 2)
+        assert prop.apply(np.ones(size), []).shape == (0, size)
 
     def test_apply_matches_operator(self):
         basis = enumerate_basis(1, 6)
@@ -324,7 +366,7 @@ class TestChernoffPropagator:
         basis = enumerate_basis(1, 8)
         rule = gauss_hermite_rule(1, 10)
         sched = SliceSchedule(0.0, 1)
-        prop = chernoff_propagator(chernoff_step(zz(), sched.tau, basis, rule), sched)
+        prop = chernoff_propagator(slice_of(zz(), sched.tau, basis, rule), sched)
         assert np.abs(prop.mat - np.eye(basis.size)).max() <= 1e-8
 
     def test_quadratic_matches_closed_form(self):
@@ -338,7 +380,7 @@ class TestChernoffPropagator:
         errors = {}
         for n in (8, 64):
             sched = SliceSchedule(t, n)
-            prop = chernoff_propagator(chernoff_step(zz(), sched.tau, basis, rule), sched)
+            prop = chernoff_propagator(slice_of(zz(), sched.tau, basis, rule), sched)
             val = coherent_matrix_element(prop, alpha, beta)
             errors[n] = abs(val - closed)
         assert errors[64] <= errors[8] / 4
@@ -349,33 +391,95 @@ class TestChernoffPropagator:
         a = quartic_oscillator()
         for n in (1, 8, 64):
             sched = SliceSchedule(0.5, n)
-            prop = chernoff_propagator(chernoff_step(a, sched.tau, basis, rule), sched)
+            prop = chernoff_propagator(slice_of(a, sched.tau, basis, rule), sched)
             assert np.linalg.norm(prop.mat, ord=2) <= 1 + 1e-6
 
     def test_step_adjoint_reverses_time(self):
         basis = enumerate_basis(1, 8)
         rule = gauss_hermite_rule(1, 10)
         a = quartic_oscillator()
-        fwd = chernoff_step(a, 0.05, basis, rule)
-        bwd = chernoff_step(a, -0.05, basis, rule)
+        fwd, bwd = chernoff_slices(a, [0.05, -0.05], basis, rule)
         assert np.abs(fwd.mat.conj().T - bwd.mat).max() <= 1e-8
 
     def test_rejects_complex_symbol(self):
         basis = enumerate_basis(1, 4)
         rule = gauss_hermite_rule(1, 6)
         with pytest.raises(ValueError, match="real"):
-            chernoff_step(variable(1, 1), 0.05, basis, rule)
+            chernoff_slices(variable(1, 1), [0.05], basis, rule)
 
     def test_rejects_inadequate_rule(self):
         basis = enumerate_basis(1, 10)
         rule = gauss_hermite_rule(1, 6)
         with pytest.raises(ValueError, match="order"):
-            chernoff_step(zz(), 0.05, basis, rule)
+            chernoff_slices(zz(), [0.05], basis, rule)
 
     def test_step_rejects_inadequate_rule(self):
         # refused before the quadrature, so a table pays none for it
         with pytest.raises(ValueError, match="order"):
-            chernoff_step(zz(), 0.1, enumerate_basis(1, 10), gauss_hermite_rule(1, 6))
+            chernoff_slices(zz(), [0.1], enumerate_basis(1, 10), gauss_hermite_rule(1, 6))
+
+
+@pytest.fixture
+def grid_evaluations(monkeypatch):
+    """Counts PolySymbol.evaluate_grid calls."""
+    calls = []
+    original = PolySymbol.evaluate_grid
+
+    def counting(self, mode_points):
+        calls.append(1)
+        return original(self, mode_points)
+
+    monkeypatch.setattr(PolySymbol, "evaluate_grid", counting)
+    return calls
+
+
+class TestChernoffSlices:
+    def test_each_slice_quantizes_its_phase(self):
+        basis = enumerate_basis(2, 5)
+        rule = gauss_hermite_rule(2, 7)
+        a = coupled_quartic(modes=2)
+        taus = [0.05, -0.2, 0.0, 0.7]
+        values = a.evaluate_grid(rule.mode_nodes).real
+        for tau, step in zip(taus, chernoff_slices(a, taus, basis, rule), strict=True):
+            expected = antiwick_quantize_function(basis, np.exp(-1j * tau * values), rule)
+            assert np.abs(step.mat - expected.mat).max() <= 4.5e-16
+
+    def test_evaluates_symbol_once(self, grid_evaluations):
+        basis = enumerate_basis(1, 6)
+        rule = gauss_hermite_rule(1, 8)
+        slices = chernoff_slices(quartic_oscillator(), [0.1, 0.2, 0.3], basis, rule)
+        assert len(grid_evaluations) == 1
+        assert len(list(slices)) == 3
+        assert len(grid_evaluations) == 1
+
+    def test_phase_bound_taken_at_largest_tau(self, grid_evaluations):
+        # only the second slice's phase leaves the doubles; refused before
+        # the symbol is evaluated
+        basis = enumerate_basis(1, 4)
+        rule = gauss_hermite_rule(1, 6)
+        with pytest.raises(ValueError, match="past the double range"):
+            chernoff_slices(zz(), [0.1, -1e308], basis, rule)
+        assert grid_evaluations == []
+
+    @pytest.mark.parametrize("Ns", [[4], [4, 8, 16, 32]])
+    def test_table_evaluates_symbol_once(self, grid_evaluations, Ns):
+        table = feynman_convergence_table(
+            quartic_oscillator(), 0.4, Ns, [0.2], [0.1 + 0.1j],
+            enumerate_basis(1, 8), gauss_hermite_rule(1, 10),
+        )
+        assert len(table) == len(Ns)
+        assert len(grid_evaluations) == 1
+
+    @pytest.mark.parametrize("t_grid", [[0.3], [0.0, 0.1, -0.2, 0.3, 0.4]])
+    def test_evolve_evaluates_symbol_once(self, grid_evaluations, t_grid):
+        basis = enumerate_basis(2, 4)
+        psi0 = np.zeros(basis.size, dtype=complex)
+        psi0[0] = 1.0
+        result = schrodinger_evolve(
+            coupled_quartic(modes=2), 2, psi0, t_grid, 4, method="chernoff", slices=4
+        )
+        assert len(result.states) == len(t_grid)
+        assert len(grid_evaluations) == 1
 
 
 class TestSliceSchedule:
@@ -459,7 +563,7 @@ class TestConvergenceTable:
             antiwick_quantize_poly(basis, a), alpha, beta, [t]
         )[0]
         assert table.slice_norm == np.linalg.norm(
-            chernoff_step(a, t / Ns[-1], basis, rule).mat, 2
+            slice_of(a, t / Ns[-1], basis, rule).mat, 2
         )
         assert [r.abs_error for r in table] == [
             abs(r.value - table.reference) for r in table
