@@ -568,7 +568,8 @@ def _run_lower_bound(run, rng):
             # can reach just below check_conversion_degree's bound: the
             # reported exact-route minimum covers the other samples
             continue
-        worst_poly_dip = min(worst_poly_dip, float(np.linalg.eigvalsh(poly.mat).min()))
+        worst_poly_dip = min(worst_poly_dip, *(
+            float(np.linalg.eigvalsh(block).min()) for _, block in poly.blocks))
     checks = [Check("antiwick-min-eigenvalue", worst_eig >= -1e-8,
                     _finite_or_none(worst_eig), -1e-8)]
     metrics = {

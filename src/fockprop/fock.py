@@ -4,9 +4,10 @@ States are occupation vectors (n_1 .. n_d) enumerated in graded
 lexicographic order (by total quanta, then first mode heaviest), which
 pins down serialization.  Ladder operators, multiplicative and tangential
 second quantization of one-particle operators, and truncated coherent
-vectors are all realized as dense real or complex matrices / vectors over
-this basis; the ladder operators and dgamma are the Wick quantizations of
-z_i, z*_i and z* . o . z, by the one fill of quantize.wick_quantize.
+vectors are all realized as real or complex operators (OperatorMatrix,
+held as diagonal blocks) and vectors over this basis; the ladder operators
+and dgamma are the Wick quantizations of z_i, z*_i and z* . o . z, by the
+one fill of quantize.wick_quantize.
 """
 
 from __future__ import annotations
@@ -20,6 +21,9 @@ import numpy as np
 from .symbols import PolySymbol, as_phase_point, variable
 
 HERMITIAN_TOL = 1e-12
+# rows per slab when a pass over a block forms an elementwise temporary,
+# so that none is as large as the block
+SLAB_ROWS = 64
 # largest quanta-cutoff tail of a coherent probe point (coherent_tail_bound)
 COHERENT_TAIL_TOL = 1e-10
 
@@ -127,26 +131,53 @@ def enumerate_basis(modes: int, max_quanta: int) -> FockBasis:
     return FockBasis(modes, max_quanta)
 
 
-@dataclass(frozen=True)
 class OperatorMatrix:
-    """Dense real or complex matrix over a FockBasis; treated as immutable."""
+    """Real or complex operator over a FockBasis, held as diagonal blocks;
+    treated as immutable.
 
-    basis: FockBasis
-    mat: np.ndarray
+    `blocks` is a tuple of (states, block) pairs: `states` an increasing
+    array of basis indices, `block` the square matrix the operator has on
+    them.  The states of the blocks partition the basis, and every entry
+    outside the blocks is zero.  OperatorMatrix(basis, mat) is one block of
+    all states; OperatorMatrix(basis, blocks=pairs) takes the pairs.  A
+    block keeps its dtype, float64 or complex128 (int and bool become
+    float64), and is contiguous and read-only.
+    """
 
-    def __post_init__(self):
-        mat = np.ascontiguousarray(
-            self.mat, dtype=complex if np.iscomplexobj(self.mat) else float
-        )
-        if mat.shape != (self.basis.size, self.basis.size):
-            raise ValueError(
-                f"matrix shape {mat.shape} does not match basis size {self.basis.size}"
-            )
+    def __init__(self, basis: FockBasis, mat: np.ndarray | None = None, *,
+                 blocks=None):
+        if (mat is None) == (blocks is None):
+            raise ValueError("give either mat or blocks")
+        if blocks is None:
+            blocks = [(np.arange(basis.size), mat)]
+        self.basis = basis
+        self.blocks = tuple(_frozen_block(idx, block) for idx, block in blocks)
+        rising = all((np.diff(idx) > 0).all() for idx, _ in self.blocks)
+        states = np.sort(np.concatenate([idx for idx, _ in self.blocks]))
+        if not (rising and np.array_equal(states, np.arange(basis.size))):
+            raise ValueError("block states must rise within each block and "
+                             f"partition the basis of {basis.size} states")
+
+    @property
+    def mat(self) -> np.ndarray:
+        """The dense matrix, read-only: a one-block operator's block, else
+        built on each read."""
+        if len(self.blocks) == 1:
+            return self.blocks[0][1]
+        blocks = [block for _, block in self.blocks]
+        mat = np.zeros((self.basis.size,) * 2, dtype=np.result_type(*blocks))
+        for idx, block in self.blocks:
+            mat[idx[:, None], idx] = block
         mat.flags.writeable = False
-        object.__setattr__(self, "mat", mat)
+        return mat
 
     def hermitian_defect(self) -> float:
-        return float(np.abs(self.mat - self.mat.conj().T).max())
+        """max |h - h^H|, taken block by block (the rest is zero), a slab of
+        SLAB_ROWS rows at a time."""
+        return max(
+            float(np.abs(b[r:r + SLAB_ROWS] - b[:, r:r + SLAB_ROWS].conj().T).max())
+            for _, b in self.blocks for r in range(0, len(b), SLAB_ROWS)
+        )
 
     @property
     def is_hermitian(self) -> bool:
@@ -156,6 +187,18 @@ class OperatorMatrix:
         if self.basis != other.basis:
             raise ValueError("operands live on different bases")
         return OperatorMatrix(self.basis, self.mat @ other.mat)
+
+
+def _frozen_block(states, block) -> tuple[np.ndarray, np.ndarray]:
+    # (states, block) as OperatorMatrix holds them
+    states = np.asarray(states, dtype=np.int64)
+    block = np.ascontiguousarray(block, dtype=complex if np.iscomplexobj(block) else float)
+    if block.shape != (len(states), len(states)):
+        raise ValueError(
+            f"matrix shape {block.shape} does not match its {len(states)} states"
+        )
+    states.flags.writeable = block.flags.writeable = False
+    return states, block
 
 
 @dataclass(frozen=True)

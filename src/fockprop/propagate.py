@@ -1,17 +1,18 @@
 """Time evolution: exact spectral oracle and time-sliced anti-Wick products.
 
-ExactPropagator diagonalizes a certified-Hermitian matrix once per symmetry
-sector and reuses the spectrum for every time.  oracle_elements takes each
-sector and time of a coherent element by Lanczos while the predicted Krylov
-dimension, from the sector's Gershgorin width times |t|, is below a quarter
-of the sector size, stopping on the a posteriori error estimate, and by one
-eigh shared by the other times otherwise.  The sliced propagator multiplies
-N copies of the anti-Wick operator of exp(-i f tau), a contraction up to the
-quadrature's resolution defect; its N -> inf limit realizes the evolution
-generated by the anti-Wick quantization of f.  chernoff_slices evaluates f
-on the nodes once and builds one slice per tau.  feynman_convergence_table is
-the one table of that limit: a row per N against the oracle element, which
-the table carries with the spectral norm of its last slice.
+ExactPropagator diagonalizes a certified-Hermitian operator once per block
+(one per symmetry sector of a Wick operator) and reuses the spectrum for
+every time.  oracle_elements takes each block and time of a coherent element
+by Lanczos while the predicted Krylov dimension, from the block's Gershgorin
+width times |t|, is below a quarter of the block size, stopping on the a
+posteriori error estimate, and by one eigh shared by the other times
+otherwise.  The sliced propagator multiplies N copies of the anti-Wick
+operator of exp(-i f tau), a contraction up to the quadrature's resolution
+defect; its N -> inf limit realizes the evolution generated by the
+anti-Wick quantization of f.  chernoff_slices evaluates f on the nodes once
+and builds one slice per tau.  feynman_convergence_table is the one table
+of that limit: a row per N against the oracle element, which the table
+carries with the spectral norm of its last slice.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import numpy as np
 from .fock import (
     FockBasis,
     HERMITIAN_TOL,
+    SLAB_ROWS,
     OperatorMatrix,
     checked_coherent_components,
 )
@@ -103,22 +105,18 @@ class ExactPropagator:
     """exp(-i h t) for certified-Hermitian h, by eigendecomposition.
 
     The spectrum is computed once and shared across times; the result is
-    unitary to working precision.  h is split into the symmetry sectors
-    its entries leave invariant (_sectors), and each sector is
-    diagonalized and applied on its own; `sectors` holds one (states,
-    eigenvalues, eigenvectors) triple per sector.  A real h (such as the
-    quantization of a symbol with real coefficients) is diagonalized as a
+    unitary to working precision.  Each block of h (wick_quantize gives one
+    per symmetry sector) is diagonalized and applied on its own; `sectors`
+    holds one (states, eigenvalues, eigenvectors) triple per block.  A real
+    block (as from a symbol with real coefficients) is diagonalized as a
     real symmetric matrix, a complex one as complex Hermitian, and `apply`
     keeps real eigenvectors in real arithmetic.
     """
 
     def __init__(self, h: OperatorMatrix):
+        _check_hermitian(h)
         self.basis = h.basis
-        self.sectors = []
-        blocks = _hermitian_blocks(h)
-        while blocks:
-            idx, block = blocks.pop(0)
-            self.sectors.append((idx, *np.linalg.eigh(block)))
+        self.sectors = [(idx, *np.linalg.eigh(block)) for idx, block in h.blocks]
 
     def operator(self, t: float) -> OperatorMatrix:
         return OperatorMatrix(self.basis, self.apply(np.eye(self.basis.size), t))
@@ -159,55 +157,12 @@ def _product(mat: np.ndarray, x: np.ndarray) -> np.ndarray:
     return real.view(complex).reshape((len(mat),) + x.shape[1:])
 
 
-def _sectors(basis: FockBasis, mat: np.ndarray) -> list[np.ndarray]:
-    """State indices of each symmetry sector of `mat`, read off its entries.
-
-    With N the total quanta and g the gcd of |N_r - N_c| over the nonzero
-    entries (r, c), mat couples only states of equal N mod g, or of equal
-    N when g = 0 (mat conserves quanta); those classes are the sectors,
-    empty ones left out.  g = 1 gives the whole basis as one sector.
-    """
-    quanta, top = basis.total_quanta, basis.max_quanta
-    # the basis is graded, so each quanta shell is a contiguous index range
-    edges = np.searchsorted(quanta, np.arange(top + 2))
-    shell = [slice(edges[n], edges[n + 1]) for n in range(top + 1)]
-    g = 0
-    for gap in range(1, top + 1):
-        if g and gap % g == 0:
-            continue
-        if any(
-            mat[shell[n], shell[n + gap]].any() or mat[shell[n + gap], shell[n]].any()
-            for n in range(top + 1 - gap)
-        ):
-            g = math.gcd(g, gap)
-            if g == 1:
-                return [np.arange(basis.size)]
-    labels = quanta % g if g else quanta
-    sectors = (np.flatnonzero(labels == s) for s in range(g or top + 1))
-    return [idx for idx in sectors if len(idx)]
-
-
-def _hermitian_blocks(h: OperatorMatrix) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(states, block) per symmetry sector of h, after the Hermitian check.
-
-    _sectors proves every entry outside the blocks zero in both directions,
-    so the largest defect over the blocks is h.hermitian_defect().  Blocks
-    are real or complex as h is.  A single sector is the whole basis in
-    order, so its block is h.mat itself.  Callers pop each block as they
-    reach it, so that a decomposed block is freed before the next one is
-    decomposed.
-    """
-    sectors = _sectors(h.basis, h.mat)
-    blocks = [
-        (idx, h.mat[np.ix_(idx, idx)] if len(sectors) > 1 else h.mat)
-        for idx in sectors
-    ]
-    defect = max(float(np.abs(b - b.conj().T).max()) for _, b in blocks)
+def _check_hermitian(h: OperatorMatrix) -> None:
+    defect = h.hermitian_defect()
     if defect > HERMITIAN_TOL:
         raise ValueError(
             f"matrix is not Hermitian: defect {defect:.3g} > {HERMITIAN_TOL:.0e}"
         )
-    return blocks
 
 
 def oracle_elements(
@@ -216,9 +171,9 @@ def oracle_elements(
     """Spectral-oracle coherent elements <F_alpha, exp(-i h t) F_beta>, per time.
 
     Both coherent vectors have their quanta-cutoff tails checked, and no
-    dense unitary is formed.  Each symmetry sector of h adds its part of
-    the element, by one of two routes chosen per (sector, time) from the
-    block alone:
+    dense unitary is formed.  Each block of h (one per symmetry sector of a
+    Wick operator) adds its part of the element, by one of two routes
+    chosen per (sector, time) from the block alone:
 
     - Lanczos from F_beta's component in the sector (_lanczos_elements),
       while _krylov_steps(width * |t|), width the block's Gershgorin width,
@@ -240,9 +195,8 @@ def oracle_elements(
     fb = checked_coherent_components(h.basis, beta)
     times = [float(t) for t in times]
     values = np.zeros(len(times), dtype=complex)
-    blocks = _hermitian_blocks(h)
-    while blocks:
-        idx, block = blocks.pop(0)
+    _check_hermitian(h)
+    for idx, block in h.blocks:
         a, b = fa[idx], fb[idx]
         if not (a.any() and b.any()):
             continue
@@ -254,18 +208,29 @@ def oracle_elements(
         if any(krylov):
             _lanczos_elements(block, a, b, times, krylov, max(-lo, hi), values)
         if not all(krylov):
-            lam, v = np.linalg.eigh(block)
-            pa, pb = (_product(v.conj().T, x) for x in (a, b))
-            for k, t in enumerate(times):
-                if not krylov[k]:
-                    values[k] += np.vdot(pa, np.exp(-1j * lam * t) * pb)
+            _eigh_elements(block, a, b, times, [not on for on in krylov], values)
     return [complex(v) for v in values]
 
 
+def _eigh_elements(block, a, b, times, chosen, values) -> None:
+    """Add <a, exp(-i block t) b> to values[k] for each time with chosen[k],
+    by one eigh of the block; the eigenvectors are freed on return, before
+    the next block is reached."""
+    lam, v = np.linalg.eigh(block)
+    pa, pb = (_product(v.conj().T, x) for x in (a, b))
+    for k, t in enumerate(times):
+        if chosen[k]:
+            values[k] += np.vdot(pa, np.exp(-1j * lam * t) * pb)
+
+
 def _gershgorin_interval(block: np.ndarray) -> tuple[float, float]:
-    """An interval holding the spectrum of a Hermitian block, in one pass."""
+    """An interval holding the spectrum of a Hermitian block, in one pass
+    over slabs of SLAB_ROWS rows."""
     centre = block.diagonal().real
-    radius = np.abs(block).sum(axis=1) - np.abs(centre)
+    radius = np.concatenate([
+        np.abs(block[r:r + SLAB_ROWS]).sum(axis=1)
+        for r in range(0, len(block), SLAB_ROWS)
+    ]) - np.abs(centre)
     return float((centre - radius).min()), float((centre + radius).max())
 
 

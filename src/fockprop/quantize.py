@@ -134,9 +134,15 @@ def wick_quantize(basis: FockBasis, w: PolySymbol) -> OperatorMatrix:
 
     Exact on the truncated basis: annihilators act first, so no
     intermediate state leaves the cutoff.  Hermitian iff the symbol is
-    real.  The terms are placed in one vectorized pass (_wick_fill), in
-    blocks of at most `basis.size` terms so that no (terms, states) table
-    outgrows the matrix; entries accumulate in term order.  The matrix is
+    real.  A term c z*^kstar z^k changes the total quanta N by |kstar| - |k|,
+    so with g the gcd of those shifts the operator couples only states of
+    equal N mod g, or of equal N when g = 0; each nonempty class is a
+    sector, and the result holds one block per sector (Berezin, The Method
+    of Second Quantization, 1966).  The blocks are filled directly
+    (_wick_fill), with no dense matrix, a chunk of terms at a time: a
+    chunk's boolean (terms, states) placement mask takes at most half the
+    blocks' bytes.  Each entry sums its terms in term order, so a block
+    equals the same block of the dense fill bit for bit.  The blocks are
     real when every kept coefficient is.
     """
     if w.modes != basis.modes:
@@ -149,21 +155,44 @@ def wick_quantize(basis: FockBasis, w: PolySymbol) -> OperatorMatrix:
         (kstar, k, coeff) for (kstar, k), coeff in w.terms.items()
         if max(sum(kstar), sum(k)) <= basis.max_quanta
     ]
-    # the ladder elements are sqrt(n): real coefficients fill a real matrix
-    real = all(coeff.imag == 0 for *_, coeff in terms)
-    mat = np.zeros((basis.size, basis.size), dtype=float if real else complex)
-    for start in range(0, len(terms), basis.size):
-        _wick_fill(basis, terms[start:start + basis.size], mat)
-    return OperatorMatrix(basis, mat)
-
-
-def _wick_fill(basis: FockBasis, terms: list, mat: np.ndarray) -> None:
-    # adds coeff z*^kstar z^k for each (kstar, k, coeff) in `terms` to mat
-    kstar = np.array([t[0] for t in terms], dtype=np.int64)
-    k = np.array([t[1] for t in terms], dtype=np.int64)
+    kstar = np.array([t[0] for t in terms], dtype=np.int64).reshape(-1, basis.modes)
+    k = np.array([t[1] for t in terms], dtype=np.int64).reshape(-1, basis.modes)
     coeff = np.array([t[2] for t in terms], dtype=complex)
-    coeff = coeff if np.iscomplexobj(mat) else coeff.real
-    occ, top = basis.occupations, basis.max_quanta
+    g = int(np.gcd.reduce(kstar.sum(axis=1) - k.sum(axis=1)))
+    labels = basis.total_quanta % g if g else basis.total_quanta
+    counts = np.bincount(labels)
+    sizes = counts[counts > 0]
+    sector = (np.cumsum(counts > 0) - 1)[labels]  # of each state
+    order = np.argsort(sector, kind="stable")
+    sectors = np.split(order, np.cumsum(sizes)[:-1])
+    # the blocks lie one after another in one store, row-major; the state
+    # at `local` in its sector is at column at[c] = starts[sector] + local
+    starts = np.cumsum(sizes**2) - sizes**2
+    local = np.empty_like(order)
+    local[order] = np.arange(basis.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    # the ladder elements are sqrt(n): real coefficients fill real blocks
+    real = not coeff.imag.any()
+    store = np.zeros((sizes**2).sum(), dtype=float if real else complex)
+    coeff = coeff.real if real else coeff
+    at, width = starts[sector] + local, sizes[sector]
+    # a chunk's (terms, states) placement mask, and the one temporary as
+    # large that forming it takes, fit in the store's bytes
+    chunk = max(1, store.nbytes // (2 * basis.size))
+    for first in range(0, len(terms), chunk):
+        part = slice(first, first + chunk)
+        _wick_fill(basis, kstar[part], k[part], coeff[part], at, width, local, store)
+    blocks = (store[start:start + size**2].reshape(size, size)
+              for start, size in zip(starts, sizes))
+    return OperatorMatrix(basis, blocks=zip(sectors, blocks))
+
+
+def _wick_fill(basis: FockBasis, kstar: np.ndarray, k: np.ndarray, coeff: np.ndarray,
+               at: np.ndarray, width: np.ndarray, local: np.ndarray,
+               store: np.ndarray) -> None:
+    # adds coeff z*^kstar z^k for each term (a row of kstar, k and coeff)
+    # to the blocks in store; entry (r, c) of a block is at
+    # at[c] + local[r] * width[c]
+    occ, top, modes = basis.occupations, basis.max_quanta, basis.modes
 
     # table[t, i, n] = n!/(n-k)! * (n-k+k*)!/(n-k)! for term t, mode i and
     # occupation n, the squared amplitude's factor; 0 where n < k.  Integer
@@ -175,21 +204,39 @@ def _wick_fill(basis: FockBasis, terms: list, mat: np.ndarray) -> None:
         table *= np.where(j < k[..., None], n - j, 1)
         table *= np.where(j < kstar[..., None], lowered + kstar[..., None] - j, 1)
 
-    # (terms, states): squared amplitude of each term at each column; a
-    # column is placed when every mode holds k quanta and the target
-    # stays within the cutoff
+    # (terms, states): a term places an entry in a column when every mode
+    # holds k quanta and the target stays within the cutoff
     # np.take gathers along one axis, far faster than fancy indexing
-    amp2 = table[:, 0].take(occ[:, 0], axis=1)
-    for i in range(1, basis.modes):
-        amp2 *= table[:, i].take(occ[:, i], axis=1)
+    nonzero = table > 0
+    placed = nonzero[:, 0].take(occ[:, 0], axis=1)
+    for i in range(1, modes):
+        placed &= nonzero[:, i].take(occ[:, i], axis=1)
     shift = kstar.sum(axis=1) - k.sum(axis=1)
-    placed = (amp2 > 0) & (basis.total_quanta[None, :] <= top - shift[:, None])
-    flat = np.flatnonzero(placed)
-    term, cols = np.divmod(flat, basis.size)
-    rows = basis.rank(occ.take(cols, axis=0) + (kstar - k).take(term, axis=0))
-    # add.at applies the updates in order, so each entry sums in term order
-    np.add.at(mat.reshape(-1), rows * basis.size + cols,
-              coeff[term] * np.sqrt(amp2.reshape(-1)[flat]))
+    placed &= basis.total_quanta[None, :] <= top - shift[:, None]
+
+    # runs of whole terms placing about `budget` entries each: a run's
+    # index and value arrays, about 16 (d + 6) bytes an entry, then take
+    # about a quarter of the store's bytes at most (or 16384 entries' worth)
+    budget = max(store.nbytes // (64 * (modes + 4)), 16384)
+    counts = placed.sum(axis=1)
+    run = (np.cumsum(counts) - counts) // budget
+    edges = [0, *(np.flatnonzero(np.diff(run)) + 1), len(k)]
+    # one row per mode: the factor tables, the occupations, the changes
+    factors = table.transpose(1, 0, 2).reshape(modes, -1)
+    occ_t, delta_t = occ.T, (kstar - k).T
+    for first, last in zip(edges, edges[1:]):
+        term, cols = np.divmod(np.flatnonzero(placed[first:last]), basis.size)
+        term += first
+        source = occ_t.take(cols, axis=1)
+        offset = term * (top + 1)
+        amp2 = factors[0].take(offset + source[0])
+        for i in range(1, modes):
+            amp2 *= factors[i].take(offset + source[i])
+        source += delta_t.take(term, axis=1)  # the target occupations
+        rows = basis.rank(source.T)
+        # add.at applies the updates in order, so each entry sums in term order
+        np.add.at(store, at.take(cols) + local.take(rows) * width.take(cols),
+                  coeff[term] * np.sqrt(amp2))
 
 
 def wick_symbol_deviation(
@@ -205,12 +252,13 @@ def wick_symbol_deviation(
     value exceeds 1 in modulus.  An oracle, not a fitter.
     """
     worst = 0.0
+    mat = op.mat
     for left, right in probes:
         a = as_phase_point(left, basis.modes)
         b = as_phase_point(right, basis.modes)
         fa = checked_coherent_components(basis, a)
         fb = checked_coherent_components(basis, b)
-        element = complex(np.vdot(fa, op.mat @ fb))
+        element = complex(np.vdot(fa, mat @ fb))
         measured = element * np.exp(-np.vdot(a, b))
         predicted = candidate.eval_bilinear(a, b)
         dev = abs(measured - predicted) / max(1.0, abs(predicted))

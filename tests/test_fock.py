@@ -469,6 +469,30 @@ class TestOperatorMatrix:
         # a transposed view is made contiguous
         assert OperatorMatrix(basis, np.triu(np.ones((3, 3))).T).mat.flags.c_contiguous
 
+    def test_blocks_build_the_dense_matrix(self):
+        basis = enumerate_basis(1, 3)
+        op = OperatorMatrix(basis, blocks=[([0, 2], [[1.0, 2.0], [3.0, 4.0]]),
+                                           ([1, 3], [[5j, 0], [0, 6]])])
+        expected = np.array([[1, 0, 2, 0], [0, 5j, 0, 0], [3, 0, 4, 0], [0, 0, 0, 6]])
+        assert op.mat.dtype == np.complex128 and not op.mat.flags.writeable
+        np.testing.assert_array_equal(op.mat, expected)
+        assert [b.dtype for _, b in op.blocks] == [np.float64, np.complex128]
+        assert op.hermitian_defect() == np.abs(expected - expected.conj().T).max() == 10
+
+    @pytest.mark.parametrize("states", [
+        [[0, 1], [1, 2]],  # overlap, state 3 left out
+        [[0, 1], [2]],  # state 3 left out
+        [[1, 0], [2, 3]],  # not rising
+    ])
+    def test_blocks_partition_the_basis(self, states):
+        basis = enumerate_basis(1, 3)
+        with pytest.raises(ValueError, match="partition the basis of 4 states"):
+            OperatorMatrix(basis, blocks=[(idx, np.eye(len(idx))) for idx in states])
+
+    def test_block_shape_validated(self):
+        with pytest.raises(ValueError, match="does not match its 2 states"):
+            OperatorMatrix(enumerate_basis(1, 1), blocks=[([0, 1], np.eye(3))])
+
     def test_matmul_requires_same_basis(self):
         op1 = OperatorMatrix(enumerate_basis(1, 2), np.eye(3))
         op2 = OperatorMatrix(enumerate_basis(1, 3), np.eye(4))

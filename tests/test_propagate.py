@@ -9,7 +9,6 @@ from fockprop.galerkin import schrodinger_evolve
 from fockprop.propagate import (
     ExactPropagator,
     SliceSchedule,
-    _hermitian_blocks,
     chernoff_propagator,
     chernoff_slices,
     coherent_matrix_element,
@@ -203,9 +202,8 @@ SECTOR_CASES = {
         lambda: wick_quantize(
             enumerate_basis(1, 10),
             zz() + variable(1, 1) ** 4 + conj_variable(1, 1) ** 4), 4),
-    # no nonzero entry: g = 0 again
-    "zero": (
-        lambda: OperatorMatrix(enumerate_basis(2, 3), np.zeros((10, 10))), 4),
+    # no term: g = 0 again
+    "zero": (lambda: wick_quantize(enumerate_basis(2, 3), PolySymbol(2, {})), 4),
 }
 
 
@@ -223,7 +221,7 @@ class TestSectors:
 
     def test_single_real_sector_block_is_the_matrix(self):
         h = SECTOR_CASES["z-plus-zstar"][0]()
-        [(states, block)] = _hermitian_blocks(h)
+        [(states, block)] = h.blocks
         assert h.mat.dtype == np.float64
         assert block is h.mat
         np.testing.assert_array_equal(states, np.arange(h.basis.size))
@@ -296,7 +294,10 @@ class TestOracleElementRoutes:
             a = a + 1j * rng.standard_normal((n, n))
         quanta = basis.total_quanta
         a[(quanta[:, None] - quanta[None, :]) % g != 0] = 0
-        h = OperatorMatrix(basis, (a + a.conj().T) / (2 * np.sqrt(n)))
+        a = (a + a.conj().T) / (2 * np.sqrt(n))
+        sectors = [np.flatnonzero(quanta % g == s) for s in range(g)]
+        h = OperatorMatrix(basis, blocks=[(idx, a[np.ix_(idx, idx)]) for idx in sectors])
+        np.testing.assert_array_equal(h.mat, a)
         assert h.mat.dtype == (np.float64 if real else np.complex128)
         alpha, beta = rng.uniform(-0.4, 0.4, (2, modes, 2)) @ [1, 1j]
         times = [0.0, negative, small, large]
@@ -346,6 +347,18 @@ class TestOracleElementRoutes:
             oracle_elements(bad, [0.1, 0, 0], [0.2, 0, 0], [0.3])
         with pytest.raises(ValueError, match=message):
             ExactPropagator(bad)
+
+    def test_rejects_non_hermitian_complex_symbol(self):
+        # i N is anti-Hermitian and z*_1^2 has no z_1^2 partner: two
+        # complex parity blocks, neither Hermitian
+        h = wick_quantize(enumerate_basis(2, 6), 1j * zz(2) + conj_variable(2, 1) ** 2)
+        assert len(h.blocks) == 2
+        assert all(block.dtype == np.complex128 for _, block in h.blocks)
+        message = f"matrix is not Hermitian: defect {h.hermitian_defect():.3g}"
+        with pytest.raises(ValueError, match=message):
+            ExactPropagator(h)
+        with pytest.raises(ValueError, match=message):
+            oracle_elements(h, [0.1, 0], [0.2, 0], [0.3])
 
     def test_element_ignores_other_times(self, monkeypatch):
         # t = 0.3 takes both sectors by Lanczos; 1.7 takes the larger by eigh

@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fockprop.benchmarks import coupled_quartic, quartic_oscillator
 from fockprop.fock import FockBasis, enumerate_basis
@@ -239,6 +241,96 @@ class TestWickFill:
     @staticmethod
     def check(basis, w):
         assert np.array_equal(wick_quantize(basis, w).mat, wick_quantize_per_term(basis, w))
+
+
+def sector_symbol(rng, modes, g, kind, n_terms=30):
+    """A random symbol of degree <= 4 keeping only the terms that change the
+    total quanta by a multiple of g (by nothing when g = 0); its
+    coefficients are real, Hermitian pairs or complex, as `kind` says."""
+    w = random_symbol(rng, modes, 4, n_terms)
+    terms = {
+        (kstar, k): c.real if kind == "real" else c
+        for (kstar, k), c in w.terms.items()
+        if (sum(kstar) - sum(k) == 0 if g == 0 else (sum(kstar) - sum(k)) % g == 0)
+    }
+    w = PolySymbol(modes, terms)
+    return (w + w.adjoint()) * 0.5 if kind == "hermitian" else w
+
+
+def block_owner(op):
+    """The index of the block holding each state."""
+    owner = np.empty(op.basis.size, dtype=int)
+    for b, (idx, _) in enumerate(op.blocks):
+        owner[idx] = b
+    return owner
+
+
+class TestWickSectors:
+    """One block per sector read off the symbol, each equal bit for bit to
+    the same block of the dense per-term reference, which is zero outside."""
+
+    @pytest.mark.parametrize("modes", [1, 2, 3, 4])
+    @pytest.mark.parametrize("g", [0, 1, 2, 3])
+    @pytest.mark.parametrize("kind", ["real", "hermitian", "complex"])
+    def test_blocks_are_the_reference_blocks(self, modes, g, kind):
+        rng = np.random.default_rng([modes, g, len(kind)])
+        for max_quanta in (0, 2, 5):
+            basis = enumerate_basis(modes, max_quanta)
+            w = sector_symbol(rng, modes, g, kind)
+            op = wick_quantize(basis, w)
+            ref = wick_quantize_per_term(basis, w)
+            kept = {(ks, k): c for (ks, k), c in w.terms.items()
+                    if max(sum(ks), sum(k)) <= max_quanta}
+            real = all(c.imag == 0 for c in kept.values())
+            inside = np.zeros(ref.shape, dtype=bool)
+            for idx, block in op.blocks:
+                assert block.dtype == (np.float64 if real else np.complex128)
+                assert np.array_equal(block, ref[np.ix_(idx, idx)])
+                inside[np.ix_(idx, idx)] = True
+            assert not ref[~inside].any()
+            # sectors are the classes of N mod g, or of N when g = 0
+            step = math.gcd(*(sum(ks) - sum(k) for ks, k in kept))
+            labels = basis.total_quanta % step if step else basis.total_quanta
+            assert len(op.blocks) == len(set(labels.tolist()))
+            np.testing.assert_array_equal(
+                block_owner(op), np.unique(labels, return_inverse=True)[1])
+
+    @given(
+        modes=st.integers(1, 3),
+        max_quanta=st.integers(0, 5),
+        g=st.sampled_from([0, 1, 2, 3, 4]),
+        kind=st.sampled_from(["real", "hermitian", "complex"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_entry_classes_lie_in_one_sector(self, modes, max_quanta, g, kind, seed):
+        # with h the gcd of |N_r - N_c| over the reference's nonzero
+        # entries, the classes of N mod h (of N when h = 0) each lie in
+        # one block: the symbol's sectors are never finer
+        basis = enumerate_basis(modes, max_quanta)
+        w = sector_symbol(np.random.default_rng(seed), modes, g, kind)
+        ref = wick_quantize_per_term(basis, w)
+        quanta = basis.total_quanta
+        rows, cols = np.nonzero(ref)
+        h = math.gcd(*np.abs(quanta[rows] - quanta[cols]).tolist())
+        labels = quanta % h if h else quanta
+        owner = block_owner(wick_quantize(basis, w))
+        for label in set(labels.tolist()):
+            assert len(set(owner[labels == label].tolist())) == 1
+
+    def test_peak_memory_below_one_dense_matrix(self):
+        # the two blocks (581 and 420 states) take 3.9 MiB; a dense matrix
+        # of the 1001 states, or a float (terms, states) table as large,
+        # would take this guard's 7.6 MiB on its own
+        basis = enumerate_basis(4, 10)
+        w = coupled_quartic()
+        tracemalloc.start()
+        try:
+            wick_quantize(basis, w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < basis.size**2 * 8
 
 
 class TestWickDtype:
