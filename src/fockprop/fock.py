@@ -183,11 +183,6 @@ class OperatorMatrix:
     def is_hermitian(self) -> bool:
         return self.hermitian_defect() <= HERMITIAN_TOL
 
-    def __matmul__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        if self.basis != other.basis:
-            raise ValueError("operands live on different bases")
-        return OperatorMatrix(self.basis, self.mat @ other.mat)
-
 
 def _frozen_block(states, block) -> tuple[np.ndarray, np.ndarray]:
     # (states, block) as OperatorMatrix holds them

@@ -139,11 +139,12 @@ def wick_quantize(basis: FockBasis, w: PolySymbol) -> OperatorMatrix:
     equal N mod g, or of equal N when g = 0; each nonempty class is a
     sector, and the result holds one block per sector (Berezin, The Method
     of Second Quantization, 1966).  The blocks are filled directly
-    (_wick_fill), with no dense matrix, a chunk of terms at a time: a
-    chunk's boolean (terms, states) placement mask takes at most half the
-    blocks' bytes.  Each entry sums its terms in term order, so a block
-    equals the same block of the dense fill bit for bit.  The blocks are
-    real when every kept coefficient is.
+    (_wick_fill), with no dense matrix and no search for entries: a term
+    maps m + k to m + kstar for every state m of at most
+    L = M - max(|k|, |kstar|) quanta, and in the graded order those m are
+    the first C(L + d, d) states.  Each entry sums its terms in term order,
+    so a block equals the same block of the dense fill bit for bit.  The
+    blocks are real when every kept coefficient is.
     """
     if w.modes != basis.modes:
         raise ValueError(
@@ -175,12 +176,7 @@ def wick_quantize(basis: FockBasis, w: PolySymbol) -> OperatorMatrix:
     store = np.zeros((sizes**2).sum(), dtype=float if real else complex)
     coeff = coeff.real if real else coeff
     at, width = starts[sector] + local, sizes[sector]
-    # a chunk's (terms, states) placement mask, and the one temporary as
-    # large that forming it takes, fit in the store's bytes
-    chunk = max(1, store.nbytes // (2 * basis.size))
-    for first in range(0, len(terms), chunk):
-        part = slice(first, first + chunk)
-        _wick_fill(basis, kstar[part], k[part], coeff[part], at, width, local, store)
+    _wick_fill(basis, kstar, k, coeff, at, width, local, store)
     blocks = (store[start:start + size**2].reshape(size, size)
               for start, size in zip(starts, sizes))
     return OperatorMatrix(basis, blocks=zip(sectors, blocks))
@@ -200,34 +196,33 @@ def _wick_fill(basis: FockBasis, kstar: np.ndarray, k: np.ndarray, coeff: np.nda
     n = np.arange(top + 1)
     lowered = n - k[..., None]
     table = np.ones(k.shape + (top + 1,))
-    for j in range(int(max(k.max(), kstar.max()))):
+    for j in range(int(max(k.max(initial=0), kstar.max(initial=0)))):
         table *= np.where(j < k[..., None], n - j, 1)
         table *= np.where(j < kstar[..., None], lowered + kstar[..., None] - j, 1)
 
-    # (terms, states): a term places an entry in a column when every mode
-    # holds k quanta and the target stays within the cutoff
-    # np.take gathers along one axis, far faster than fancy indexing
-    nonzero = table > 0
-    placed = nonzero[:, 0].take(occ[:, 0], axis=1)
-    for i in range(1, modes):
-        placed &= nonzero[:, i].take(occ[:, i], axis=1)
-    shift = kstar.sum(axis=1) - k.sum(axis=1)
-    placed &= basis.total_quanta[None, :] <= top - shift[:, None]
+    # a term maps m + k to m + k* for every state m with at most
+    # M - max(|k|, |k*|) quanta: the first `counts` states in graded order
+    reach = top - np.maximum(k.sum(axis=1), kstar.sum(axis=1))
+    counts = np.searchsorted(basis.total_quanta, reach, side="right")
 
     # runs of whole terms placing about `budget` entries each: a run's
     # index and value arrays, about 16 (d + 6) bytes an entry, then take
     # about a quarter of the store's bytes at most (or 16384 entries' worth)
     budget = max(store.nbytes // (64 * (modes + 4)), 16384)
-    counts = placed.sum(axis=1)
     run = (np.cumsum(counts) - counts) // budget
     edges = [0, *(np.flatnonzero(np.diff(run)) + 1), len(k)]
-    # one row per mode: the factor tables, the occupations, the changes
+    # one row per mode: the factor tables, the occupations, the lowerings,
+    # the changes
     factors = table.transpose(1, 0, 2).reshape(modes, -1)
-    occ_t, delta_t = occ.T, (kstar - k).T
+    occ_t, k_t, delta_t = occ.T, k.T, (kstar - k).T
     for first, last in zip(edges, edges[1:]):
-        term, cols = np.divmod(np.flatnonzero(placed[first:last]), basis.size)
-        term += first
-        source = occ_t.take(cols, axis=1)
+        count = counts[first:last]
+        term = np.repeat(np.arange(first, last), count)
+        # each term's entries take m from the first `count` states in order
+        m = np.arange(len(term)) - np.repeat(np.cumsum(count) - count, count)
+        source = occ_t.take(m, axis=1)
+        source += k_t.take(term, axis=1)
+        cols = basis.rank(source.T)
         offset = term * (top + 1)
         amp2 = factors[0].take(offset + source[0])
         for i in range(1, modes):

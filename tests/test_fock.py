@@ -493,12 +493,6 @@ class TestOperatorMatrix:
         with pytest.raises(ValueError, match="does not match its 2 states"):
             OperatorMatrix(enumerate_basis(1, 1), blocks=[([0, 1], np.eye(3))])
 
-    def test_matmul_requires_same_basis(self):
-        op1 = OperatorMatrix(enumerate_basis(1, 2), np.eye(3))
-        op2 = OperatorMatrix(enumerate_basis(1, 3), np.eye(4))
-        with pytest.raises(ValueError):
-            op1 @ op2
-
     def test_hermitian_flag(self):
         basis = enumerate_basis(1, 3)
         assert OperatorMatrix(basis, np.diag([1.0, 2, 3, 4])).is_hermitian

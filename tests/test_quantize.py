@@ -229,7 +229,9 @@ class TestWickFill:
         self.check(basis, PolySymbol(3, {}))
 
     def test_more_terms_than_states(self):
-        # 10 states and over 10 terms: the fill runs in several blocks
+        # 10 states and 21 terms in one run: states take entries from
+        # several terms, each entry summed in term order; the runs break
+        # between terms in test_coupled_quartic_at_four_modes (8 runs)
         basis = enumerate_basis(2, 3)
         w = random_symbol(np.random.default_rng(7), 2, 3, n_terms=60)
         assert len(w.terms) > 2 * basis.size
@@ -331,6 +333,20 @@ class TestWickSectors:
         finally:
             tracemalloc.stop()
         assert peak < basis.size**2 * 8
+
+    def test_peak_memory_of_many_terms(self):
+        # 2387 terms over 1716 states: a (terms, states) placement array
+        # would add 3.9 MiB to the blocks' 12.7 MiB; placing each term's
+        # entries in closed form, the fill peaks below 1.65 times the blocks
+        basis = enumerate_basis(7, 6)
+        w = coupled_quartic(modes=7)
+        tracemalloc.start()
+        try:
+            op = wick_quantize(basis, w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.65 * sum(block.nbytes for _, block in op.blocks)
 
 
 class TestWickDtype:
